@@ -15,8 +15,8 @@ hops, ticks, episodes, everything):
   pipeline existed, because every ``run_campaign`` invocation forked a
   fresh pool (cold caches) and per-scenario unordered dispatch scattered
   cells sharing a baseline across workers.
-* **cached** — the executor's real path: per-worker graph and healthy-run
-  memos, engine pools reset instead of rebuilt, process-wide
+* **cached** — the executor's real path: per-worker graph, healthy-run
+  and dynamic-run memos, engine pools reset instead of rebuilt, process-wide
   compiled-topology/interner caches, chunked dispatch.  Measured at steady
   state (one untimed warmup invocation first), which is what the
   persistent worker pool delivers to sweep drivers: the caches stay warm

@@ -10,22 +10,11 @@ path — and records the per-hop speedup the table walk buys.  In-bench
 asserts pin tick counts, hop counts and byte-identical root transcripts
 across both paths *and* the object backend, so neither side can drift
 semantically while getting faster.
-
-The lane sweep at the bottom rides the same tables through the batch
-backend: S ∈ {1, 4, 16, 64} lock-step lanes of the full GTD on one
-shared compiled topology, each lane's scalar stepper walking the one
-mmap-able transition tensor.  Per-lane parity against the solo flat run
-is asserted before any number is recorded.  The sweep needs numpy (the
-``[batch]`` extra); those cases skip cleanly without it.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro import determine_topology
-from repro.protocol.gtd import GTDProcessor
-from repro.sim.batchcore import BatchEngine, LaneRun, have_numpy
 from repro.sim.flatcore import FlatEngine
 from repro.sim.run import ENGINE_BACKENDS
 from repro.topology import generators
@@ -47,10 +36,6 @@ class _ClosureDispatchFlatEngine(FlatEngine):
 #: bench-local backend name; registered so the production run pipeline
 #: (pooling, budgets, reconstruction) drives the control engine unchanged
 ENGINE_BACKENDS.setdefault("flat-nowalk", _ClosureDispatchFlatEngine)
-
-#: lane counts of the batch sweep (64 lanes of de_bruijn(2,4) fit easily;
-#: the point is the per-lane overhead curve, not peak memory)
-LANE_SWEEP = (1, 4, 16, 64)
 
 
 def _transcript_bytes(result) -> bytes:
@@ -116,60 +101,3 @@ def test_vec_closure_dispatch_throughput(benchmark):
         f"{closure[1]:,.0f} hops/s = {ratio:.2f}x per-hop speedup",
     )
 
-
-# ----------------------------------------------------------------------
-# lane sweep: the same tables under S lock-step batch lanes
-# ----------------------------------------------------------------------
-needs_numpy = pytest.mark.skipif(
-    not have_numpy(), reason="numpy not installed (the [batch] extra)"
-)
-
-
-def _lane_runs(eng: BatchEngine) -> list[LaneRun]:
-    return [
-        LaneRun(
-            max_ticks=20000,
-            until=(lambda p=eng.lane_engines[i].processors[eng.root]: p.terminal),
-            drain=True,
-        )
-        for i in range(eng.lanes)
-    ]
-
-
-def _measure_lanes(benchmark, lanes: int) -> None:
-    graph = generators.de_bruijn(2, 4)
-    solo = determine_topology(graph, backend="flat")
-    eng = BatchEngine(graph, [GTDProcessor() for _ in graph.nodes()], lanes=lanes)
-
-    def run():
-        eng.reset()
-        return eng.run_lanes(_lane_runs(eng))
-
-    outs = benchmark.pedantic(run, rounds=2, iterations=1)
-    # per-lane parity with the solo flat run before any number is recorded
-    for out in outs:
-        assert out.error is None
-        assert out.ticks == solo.ticks
-    hops = sum(e.metrics.total_delivered for e in eng.lane_engines)
-    assert hops == lanes * solo.metrics.total_delivered
-    rate = hops / benchmark.stats.stats.mean
-    benchmark.extra_info["lanes"] = lanes
-    benchmark.extra_info["hops_per_second"] = int(rate)
-    bench_metric(
-        "vec",
-        f"lanes_{lanes}_hops_per_second",
-        rate,
-        unit="hops/s",
-        meta={f"lanes_{lanes}_character_hops": hops},
-    )
-    report(
-        "vec",
-        f"VEC [batch] {lanes} lane(s) of de_bruijn(2,4): {hops} aggregate "
-        f"character-hops per burst, {rate:,.0f} hops/s wall-clock",
-    )
-
-
-@needs_numpy
-@pytest.mark.parametrize("lanes", LANE_SWEEP)
-def test_vec_lane_sweep_throughput(benchmark, lanes):
-    _measure_lanes(benchmark, lanes)

@@ -23,6 +23,11 @@ reused, per worker process:
 * the *healthy* protocol run — previously re-measured as the baseline of
   every dynamic cell, and run again in full for every ``none`` cell — is
   memoized per ``(family, size, seed, backend)`` and shared by both;
+* every dynamic run is memoized by value on ``(graph, effective wire ops,
+  tick budget, backend)``: the processors are identical, synchronous and
+  deterministic, so cells that lower to the same run — ops landing after
+  the undisturbed terminal tick, seed-invariant ``frontier:k`` cuts on a
+  deterministic family — simulate once and only relabel per cell;
 * engines are checked out of a per-worker
   :class:`~repro.sim.run.EnginePool` (reset, not rebuilt, between runs),
   which in turn shares the process-wide compiled-topology and interner
@@ -82,7 +87,7 @@ from repro.campaigns.spec import (
     build_family,
 )
 from repro.dynamics.engine import WireMutation
-from repro.dynamics.experiment import run_dynamic_gtd, run_dynamic_gtd_lanes
+from repro.dynamics.experiment import run_dynamic_gtd
 from repro.errors import (
     ReproError,
     ScenarioExecutionError,
@@ -188,9 +193,7 @@ def run_scenario(scenario: Scenario, *, fresh: bool = False) -> ScenarioResult:
         else _family_graph(scenario.family, scenario.size, scenario.seed)
     )
     try:
-        if fault.kind == "timeline":
-            return _run_timeline_scenario(scenario, graph, fault, fresh=fresh)
-        if fault.kind in ("cut", "add"):
+        if fault.kind in ("cut", "add", "timeline"):
             return _run_dynamic_scenario(scenario, graph, fault, fresh=fresh)
         if fault.kind == "shutdown":
             graph = shutdown_out_ports(
@@ -273,6 +276,32 @@ def _healthy_run_for_graph(graph: PortGraph, backend: str) -> TopologyResult:
     return determine_topology(graph, backend=backend, pool=_ENGINE_POOL)
 
 
+def _reduce_dynamic(result) -> tuple[str, int, int, int]:
+    """A dynamic run as ``(outcome, ticks, hops, lost_characters)``."""
+    return result.outcome.value, result.ticks, result.hops, result.lost_characters
+
+
+@lru_cache(maxsize=1024)
+def _dynamic_run(
+    graph: PortGraph,
+    eff_ops: tuple[WireMutation, ...],
+    budget: int,
+    backend: str,
+) -> tuple[str, int, int, int]:
+    """The per-worker memo of dynamic runs, keyed by value.
+
+    A dynamic GTD run on a fixed wiring is a pure function of the graph,
+    its effective wire ops and its tick budget, so cells that lower to the
+    same key share one simulation.  Only the reduced tuple is kept —
+    never the transcript — so the memo costs a few ints per entry.
+    """
+    return _reduce_dynamic(
+        run_dynamic_gtd(
+            graph, eff_ops, max_ticks=budget, backend=backend, pool=_ENGINE_POOL
+        )
+    )
+
+
 def _static_result(scenario: Scenario, graph: PortGraph, result) -> ScenarioResult:
     return ScenarioResult(
         scenario=scenario,
@@ -328,77 +357,60 @@ def _dynamic_baseline(
 def _run_dynamic_scenario(
     scenario: Scenario, graph: PortGraph, fault: FaultModel, *, fresh: bool = False
 ) -> ScenarioResult:
-    baseline_ticks, diam = _dynamic_baseline(scenario, graph, fresh=fresh)
-    when = int(baseline_ticks * fault.param)
-    rng = make_rng(_derive_seed(scenario, fault.kind))
-    if fault.kind == "cut":
-        mutation = WireMutation(tick=when, kind="cut", wire=pick_cut_victim(graph, rng))
-    else:
-        mutation = WireMutation(tick=when, kind="add", wire=pick_free_wire(graph, rng))
-    outcome = run_dynamic_gtd(
-        graph,
-        [mutation],
-        max_ticks=baseline_ticks * 3 + 1000,
-        backend=scenario.backend,
-        pool=None if fresh else _ENGINE_POOL,
-    )
-    return ScenarioResult(
-        scenario=scenario,
-        outcome=outcome.outcome.value,
-        num_nodes=graph.num_nodes,
-        num_wires=graph.num_wires,
-        diameter=diam,
-        ticks=outcome.ticks,
-        drained_ticks=outcome.ticks,
-        hops=0,
-        rca_runs=0,
-        bca_runs=0,
-        by_family=(),
-        episodes=(),
-        lost_characters=outcome.lost_characters,
-    )
+    """One cut/add/timeline cell: lower to a wire-op program, run, label.
 
-
-def _run_timeline_scenario(
-    scenario: Scenario, graph: PortGraph, fault: FaultModel, *, fresh: bool = False
-) -> ScenarioResult:
-    """One perturbation-timeline cell: compile, run, classify per phase.
-
-    The timeline is lowered with the scenario-derived seed and the measured
-    undisturbed runtime as horizon, so the cell is a pure function of the
-    scenario — backends excluded from the seed, exactly like the legacy
-    dynamic cells, so object and flat runs see the same wire program.
+    Lowering uses the scenario-derived seed and the measured undisturbed
+    runtime (as the timeline horizon, or as the base of a legacy op's
+    tick), so the cell is a pure function of the scenario — backends
+    excluded from the seed, so object and flat runs see the same wire
+    program.  The run itself goes through :func:`_dynamic_run`; only the
+    per-cell labels are added here: a timeline cell reports its hops and
+    the phase it ended in, a legacy cut/add cell reports neither.
     """
-    assert fault.timeline is not None
     baseline_ticks, diam = _dynamic_baseline(scenario, graph, fresh=fresh)
-    program = fault.timeline.compile(
-        graph,
-        horizon=baseline_ticks,
-        seed=_derive_seed(scenario, "timeline"),
-        root=0,
-    )
-    outcome = run_dynamic_gtd(
-        graph,
-        program,
-        max_ticks=baseline_ticks * 3 + 1000,
-        backend=scenario.backend,
-        pool=None if fresh else _ENGINE_POOL,
-    )
+    program = None
+    if fault.kind == "timeline":
+        assert fault.timeline is not None
+        program = fault.timeline.compile(
+            graph,
+            horizon=baseline_ticks,
+            seed=_derive_seed(scenario, "timeline"),
+            root=0,
+        )
+        ops: tuple[WireMutation, ...] = program.ops
+    else:
+        rng = make_rng(_derive_seed(scenario, fault.kind))
+        pick = pick_cut_victim if fault.kind == "cut" else pick_free_wire
+        when = int(baseline_ticks * fault.param)
+        ops = (WireMutation(tick=when, kind=fault.kind, wire=pick(graph, rng)),)
+    budget = baseline_ticks * 3 + 1000
+    if fresh:
+        run = _reduce_dynamic(
+            run_dynamic_gtd(graph, ops, max_ticks=budget, backend=scenario.backend)
+        )
+    else:
+        # The run stops at the undisturbed terminal tick before any op
+        # landing strictly later can fire (an op at exactly that tick does
+        # fire), so such a program is the healthy dynamic run.
+        if ops and min(op.tick for op in ops) > baseline_ticks:
+            ops = ()
+        run = _dynamic_run(graph, ops, budget, scenario.backend)
+    outcome, ticks, hops, lost_characters = run
     return ScenarioResult(
         scenario=scenario,
-        outcome=outcome.outcome.value,
+        outcome=outcome,
         num_nodes=graph.num_nodes,
         num_wires=graph.num_wires,
         diameter=diam,
-        ticks=outcome.ticks,
-        drained_ticks=outcome.ticks,
-        hops=outcome.hops,
+        ticks=ticks,
+        drained_ticks=ticks,
+        hops=hops if program is not None else 0,
         rca_runs=0,
         bca_runs=0,
         by_family=(),
         episodes=(),
-        lost_characters=outcome.lost_characters,
-        phase=outcome.phase,
+        lost_characters=lost_characters,
+        phase=program.phase_at(ticks) if program is not None else "",
     )
 
 
@@ -645,22 +657,21 @@ atexit.register(shutdown_worker_pool)
 def clear_scenario_caches() -> None:
     """Reset every per-process scenario cache to cold (tests, benchmarks).
 
-    Clears the graph and healthy-run memos, the engine pool, and the
-    process-wide compiled-topology/interner caches.  Does not touch the
-    persistent worker pool (their caches are per-worker; use
+    Clears the graph, healthy-run and dynamic-run memos, the engine pool,
+    and the process-wide compiled-topology/interner caches.  Does not
+    touch the persistent worker pool (their caches are per-worker; use
     :func:`shutdown_worker_pool` to recycle the workers themselves).
     """
     _family_graph.cache_clear()
     _healthy_run_for_graph.cache_clear()
+    _dynamic_run.cache_clear()
     _ENGINE_POOL.clear()
     clear_compiled_cache()
     clear_interner_cache()
 
 
 def _chunk_pending(
-    pending: list[tuple[int, Scenario]],
-    workers: int,
-    lanes: int | None = None,
+    pending: list[tuple[int, Scenario]], workers: int
 ) -> list[list[tuple[int, Scenario]]]:
     """Group pending cells by setup key, preserving matrix order.
 
@@ -669,13 +680,6 @@ def _chunk_pending(
     computes the shared setup (built graph, healthy-run baseline, pooled
     engine) once instead of racing its siblings to compute it redundantly.
 
-    ``batch``-backend cells group by ``(family, size, backend)`` instead —
-    the **seed axis is fused**: every seed of one cell shape rides in one
-    chunk, which the worker runs as lock-step lanes of a single batched
-    engine (see :func:`_run_batch_chunk`).  ``lanes`` caps how many cells
-    fuse into one batched run (``None`` leaves the worker-balancing cap
-    in charge).
-
     Chunks are additionally **capped** at roughly two chunks per worker:
     a fault-heavy matrix with few keys would otherwise collapse onto a
     couple of workers and idle the rest.  Splitting a key across chunks
@@ -683,21 +687,18 @@ def _chunk_pending(
     the old per-scenario dispatch, which split every key all the way down
     — and the finer grain also tightens the store's write-through
     granularity (results persist as each chunk completes).  Chunking is
-    invisible in the results: each cell travels with its matrix index,
-    and every lane of a fused chunk is byte-identical to its solo run.
+    invisible in the results: each cell travels with its matrix index.
     """
     groups: dict[tuple, list[tuple[int, Scenario]]] = {}
     for index, scenario in pending:
-        seed_key = None if scenario.backend == "batch" else scenario.seed
-        key = (scenario.family, scenario.size, seed_key, scenario.backend)
+        key = (scenario.family, scenario.size, scenario.seed, scenario.backend)
         groups.setdefault(key, []).append((index, scenario))
     cap = max(1, -(-len(pending) // (workers * 2)))
-    chunks: list[list[tuple[int, Scenario]]] = []
-    for key, group in groups.items():
-        size = cap if key[2] is not None or not lanes else min(cap, lanes)
-        for start in range(0, len(group), size):
-            chunks.append(group[start:start + size])
-    return chunks
+    return [
+        group[start:start + cap]
+        for group in groups.values()
+        for start in range(0, len(group), cap)
+    ]
 
 
 def _coerce_artifacts(artifacts):
@@ -760,7 +761,6 @@ def run_campaign(
     jobs: int = 1,
     store=None,
     start_method: str | None = None,
-    lanes: int | None = None,
     artifacts=None,
     profile_dir: str | None = None,
     policy: SupervisionPolicy | None = None,
@@ -859,28 +859,15 @@ def run_campaign(
     # workers that fork, import, and exit without ever running a scenario.
     workers = min(jobs, len(pending))
     if workers <= 1:
-        # The serial path routes through the same chunker and chunk runner
-        # as the parallel one: batch-backend cells fuse into lane runs for
-        # any ``jobs``, and ``jobs=1 ≡ jobs=N`` stays a statement about one
-        # code path rather than two.  A chunk that raises (or returns a
-        # corrupted payload — both only reachable through the lane path,
-        # since scalar cells are guarded individually) falls back to
-        # guarded per-cell execution, exactly what the parallel supervisor
-        # converges to by bisection.
-        for chunk in _chunk_pending(pending, 1, lanes):
-            batch = None
-            try:
-                batch = _run_chunk(chunk)
-            except Exception:
-                batch = None
-            if batch is None or not _chunk_payload_valid(chunk, batch):
-                batch = [(index, _guarded_cell(s)) for index, s in chunk]
-            for index, result in batch:
-                deliver(index, result)
+        # The serial path walks the same chunk order as the parallel one,
+        # so a serial run writes the store in the same order.
+        for chunk in _chunk_pending(pending, 1):
+            for index, scenario in chunk:
+                deliver(index, _guarded_cell(scenario))
     else:
         try:
             _run_supervised(
-                _chunk_pending(pending, workers, lanes),
+                _chunk_pending(pending, workers),
                 workers=workers,
                 start_method=start_method,
                 artifacts_root=str(artifacts.root) if artifacts is not None else None,
@@ -1039,7 +1026,7 @@ def _run_supervised(
         )
 
     def pump() -> None:
-        # Suspects run strictly solo (and only once the lanes are clear),
+        # Suspects run strictly solo (and only once nothing is in flight),
         # so any further pool death is attributable.  The in-flight cap of
         # ``workers`` keeps every submitted chunk on a real worker, which
         # is what makes its deadline a statement about execution time.
@@ -1157,9 +1144,7 @@ def _run_chunk(
 ) -> list[tuple[int, "ScenarioResult"]]:
     """Worker shim: one pickle round-trip per setup-key group of cells.
 
-    A multi-cell ``batch``-backend chunk takes the fused path: its dynamic
-    and timeline cells run as lock-step lanes of one batched engine.  In a
-    profiling-armed worker (``campaign --profile``), the chunk runs under
+    In a profiling-armed worker (``campaign --profile``), the chunk runs under
     the worker's process-lifetime profiler and the accumulated stats are
     re-dumped afterwards — so the per-pid stats file is always a complete
     snapshot, even if the pool is terminated between chunks.
@@ -1188,157 +1173,7 @@ def _run_chunk(
 def _run_chunk_cells(
     chunk: list[tuple[int, Scenario]],
 ) -> list[tuple[int, "ScenarioResult"]]:
-    if len(chunk) > 1 and all(s.backend == "batch" for _, s in chunk):
-        return _run_batch_chunk(chunk)
     return [(index, _guarded_cell(scenario)) for index, scenario in chunk]
-
-
-@dataclass(frozen=True)
-class _LanePlan:
-    """One batch-chunk cell, lowered and ready to ride a lane.
-
-    ``eff_ops`` is what the engine actually consumes: the cell's wire-op
-    program, reduced to ``()`` when every op lands strictly after the
-    undisturbed terminal tick (the run stops at the terminal before any of
-    them can fire; an op at *exactly* the terminal tick does fire, hence
-    strictly).  Cells with equal ``(eff_ops, budget)`` on one graph are
-    byte-identical runs, so they share a single lane — ``program`` (the
-    cell's own compiled timeline, or ``None`` for legacy cut/add cells)
-    stays per-cell because phase attribution is a label over the shared
-    tick count, not part of the simulation.
-    """
-
-    index: int
-    scenario: Scenario
-    graph: PortGraph
-    diameter: int
-    budget: int
-    eff_ops: tuple[WireMutation, ...]
-    program: object  # TimelineProgram | None
-
-
-def _run_batch_chunk(
-    chunk: list[tuple[int, Scenario]],
-) -> list[tuple[int, "ScenarioResult"]]:
-    """Run one fused batch chunk: shared cells solo, lane cells lock-step.
-
-    Static cells (``none``/``shutdown``) have no wire-op axis to fuse and
-    take the ordinary :func:`run_scenario` path (the ``none`` cell *is* the
-    shared healthy baseline, so it is computed once either way).  Dynamic
-    and timeline cells are lowered to per-cell wire-op programs and handed
-    to :func:`_execute_lane_plans`.  Results carry their matrix indices, so
-    callers see nothing of the fusion — each cell's result is
-    value-identical to its solo ``run_scenario``.
-    """
-    out: list[tuple[int, ScenarioResult]] = []
-    lane_cells: list[tuple[int, Scenario, FaultModel]] = []
-    for index, scenario in chunk:
-        fault = scenario.fault_model()
-        if fault.kind in ("cut", "add", "timeline"):
-            lane_cells.append((index, scenario, fault))
-        else:
-            out.append((index, _guarded_cell(scenario)))
-    out.extend(_execute_lane_plans(lane_cells))
-    return out
-
-
-def _execute_lane_plans(
-    cells: list[tuple[int, Scenario, FaultModel]],
-) -> list[tuple[int, "ScenarioResult"]]:
-    """Lower, cohort, and run a batch chunk's dynamic cells as lanes.
-
-    Lowering mirrors :func:`_run_dynamic_scenario` /
-    :func:`_run_timeline_scenario` exactly — same derived seeds, same
-    horizon, same budget — so each lane's wire-op program is the one its
-    solo run would execute.  Cells sharing a graph **by value** run in one
-    batched engine — a deterministic family builds the same network for
-    every seed, so the seed axis collapses onto one graph group — and
-    within a group, cells whose ``(eff_ops, budget)`` coincide share a
-    single lane and fan the one
-    :class:`~repro.dynamics.experiment.DynamicRunResult` back out to every
-    member (first-seen cohort order keeps lane assignment deterministic).
-    That is where fusion beats the solo path outright: seed-invariant
-    programs (``cut:1.5``-style post-terminal ops reduced to ``()``,
-    ``frontier:k`` cuts that depend only on the graph) simulate once per
-    graph instead of once per seed.
-    """
-    results: list[tuple[int, ScenarioResult]] = []
-    by_graph: dict[PortGraph, list[_LanePlan]] = {}
-    for index, scenario, fault in cells:
-        maybe_inject(scenario)  # lane cells are fault-injectable too
-        graph = _family_graph(scenario.family, scenario.size, scenario.seed)
-        try:
-            baseline_ticks, diam = _dynamic_baseline(scenario, graph)
-            if fault.kind == "timeline":
-                assert fault.timeline is not None
-                program = fault.timeline.compile(
-                    graph,
-                    horizon=baseline_ticks,
-                    seed=_derive_seed(scenario, "timeline"),
-                    root=0,
-                )
-                ops: tuple[WireMutation, ...] = program.ops
-            else:
-                when = int(baseline_ticks * fault.param)
-                rng = make_rng(_derive_seed(scenario, fault.kind))
-                wire = (
-                    pick_cut_victim(graph, rng)
-                    if fault.kind == "cut"
-                    else pick_free_wire(graph, rng)
-                )
-                program = None
-                ops = (WireMutation(tick=when, kind=fault.kind, wire=wire),)
-        except ReproError:
-            results.append((index, _empty_result(scenario, graph, "infeasible")))
-            continue
-        post_terminal = ops and min(op.tick for op in ops) > baseline_ticks
-        plan = _LanePlan(
-            index=index,
-            scenario=scenario,
-            graph=graph,
-            diameter=diam,
-            budget=baseline_ticks * 3 + 1000,
-            eff_ops=() if post_terminal else ops,
-            program=program,
-        )
-        by_graph.setdefault(graph, []).append(plan)
-    for graph, plans in by_graph.items():
-        cohorts: dict[tuple, list[_LanePlan]] = {}
-        for plan in plans:
-            cohorts.setdefault((plan.eff_ops, plan.budget), []).append(plan)
-        reps = [members[0] for members in cohorts.values()]
-        outcomes = run_dynamic_gtd_lanes(
-            graph,
-            [rep.eff_ops for rep in reps],
-            [rep.budget for rep in reps],
-            pool=_ENGINE_POOL,
-        )
-        for members, outcome in zip(cohorts.values(), outcomes):
-            for plan in members:
-                results.append((plan.index, _lane_result(plan, outcome)))
-    return results
-
-
-def _lane_result(plan: _LanePlan, outcome) -> "ScenarioResult":
-    """One lane's DynamicRunResult, reduced exactly like its solo path."""
-    graph = plan.graph
-    timeline_cell = plan.program is not None
-    return ScenarioResult(
-        scenario=plan.scenario,
-        outcome=outcome.outcome.value,
-        num_nodes=graph.num_nodes,
-        num_wires=graph.num_wires,
-        diameter=plan.diameter,
-        ticks=outcome.ticks,
-        drained_ticks=outcome.ticks,
-        hops=outcome.hops if timeline_cell else 0,
-        rca_runs=0,
-        bca_runs=0,
-        by_family=(),
-        episodes=(),
-        lost_characters=outcome.lost_characters,
-        phase=plan.program.phase_at(outcome.ticks) if timeline_cell else "",
-    )
 
 
 def _coerce_store(store):

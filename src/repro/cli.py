@@ -156,12 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (results are identical for any J)",
     )
     p_camp.add_argument(
-        "--lanes", type=int, default=None, metavar="S",
-        help="with --backend batch: cap how many cells fuse into one "
-        "lock-step lane run (default: the chunker's worker-balancing cap; "
-        "results are identical for any S)",
-    )
-    p_camp.add_argument(
         "--start-method", choices=("fork", "forkserver", "spawn"), default=None,
         help="multiprocessing start method for the worker pool (default: "
         "fork where available, else the platform default; results are "
@@ -606,10 +600,6 @@ def _run_campaign_profiled(args: argparse.Namespace) -> int:
 def _run_campaign_command(
     args: argparse.Namespace, profile_dir: str | None = None
 ) -> int:
-    if args.lanes is not None and args.backend != "batch":
-        raise ReproError(
-            f"--lanes requires --backend batch (got backend {args.backend!r})"
-        )
     spec = CampaignSpec(
         families=tuple(args.families),
         sizes=tuple(args.sizes),
@@ -630,7 +620,6 @@ def _run_campaign_command(
         jobs=args.jobs,
         store=store,
         start_method=args.start_method,
-        lanes=args.lanes,
         artifacts=args.artifacts,
         profile_dir=profile_dir,
         policy=SupervisionPolicy(**policy_kwargs),

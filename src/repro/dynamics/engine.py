@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import SimulationError, TopologyError
-from repro.sim.batchcore import BatchLaneMixin, lane_timelines, require_numpy
 from repro.sim.characters import Char
 from repro.sim.engine import Engine
 from repro.sim.flatcore import (
@@ -71,7 +70,6 @@ __all__ = [
     "DynamicWiringMixin",
     "DynamicEngine",
     "FlatDynamicEngine",
-    "BatchDynamicEngine",
 ]
 
 #: The wire-operation vocabulary a timeline program lowers to.
@@ -435,56 +433,3 @@ class FlatDynamicEngine(DynamicWiringMixin, FlatEngine):
             return True
         return super()._blocked_emission(node, out_port, char, dst)
 
-
-class BatchDynamicEngine(BatchLaneMixin, FlatDynamicEngine):
-    """The ``batch`` backend with per-lane wire programs.
-
-    Lane 0 is this engine (a full :class:`FlatDynamicEngine`); lanes
-    1..S-1 are sibling flat dynamic engines over the same graph, each
-    loaded with its own lane's wire program.  The ``timeline`` argument
-    (construction and :meth:`reset`) accepts either a single program —
-    the scalar, ``lanes=1`` form every front-end uses — or a
-    :class:`~repro.sim.batchcore.LaneTimelines` carrying one program per
-    lane, which is how the batched campaign executor loads a fused
-    chunk's cohorts.
-    """
-
-    def __init__(
-        self,
-        graph: PortGraph,
-        processors: list[Processor],
-        timeline: Sequence[WireMutation] = (),
-        *,
-        root: int = 0,
-        record_transcript: bool = True,
-        lanes: int = 1,
-    ) -> None:
-        require_numpy()
-        programs = lane_timelines(timeline, lanes)
-        self._lane_programs = programs
-        super().__init__(
-            graph,
-            processors,
-            programs[0],
-            root=root,
-            record_transcript=record_transcript,
-        )
-        self._init_lanes(lanes)
-
-    def _make_lane_sibling(self, lane: int) -> FlatEngine:
-        return FlatDynamicEngine(
-            self.graph,
-            self._sibling_processors(),
-            self._lane_programs[lane],
-            root=self.root,
-            record_transcript=self.transcript.enabled,
-        )
-
-    def reset(self, timeline: Sequence[WireMutation] = ()) -> None:
-        """Power-on reset of every lane, loading the next wire programs."""
-        programs = lane_timelines(timeline, self.lanes)
-        self._lane_programs = programs
-        super().reset(programs[0])
-        for eng, program in zip(self.lane_engines[1:], programs[1:]):
-            eng.reset(program)
-        self._reset_lane_registers()

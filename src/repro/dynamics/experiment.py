@@ -31,14 +31,12 @@ from typing import Sequence
 from repro.errors import (
     ProtocolViolation,
     ReconstructionError,
-    ReproError,
     TickBudgetExceeded,
     TranscriptError,
 )
 from repro.protocol.gtd import GTDProcessor
 from repro.protocol.root_computer import MasterComputer, ReconstructedMap
 from repro.protocol.runner import default_tick_budget, determine_topology
-from repro.sim.batchcore import LaneOutcome, LaneRun, LaneTimelines
 from repro.sim.metrics import TrafficMetrics
 from repro.sim.run import (
     DEFAULT_BACKEND,
@@ -51,12 +49,7 @@ from repro.sim.transcript import Transcript
 from repro.topology.isomorphism import port_isomorphic
 from repro.topology.portgraph import PortGraph
 from repro.topology.properties import diameter
-from repro.dynamics.engine import (
-    BatchDynamicEngine,
-    DynamicEngine,
-    FlatDynamicEngine,
-    WireMutation,
-)
+from repro.dynamics.engine import DynamicEngine, FlatDynamicEngine, WireMutation
 from repro.dynamics.timeline import (
     PerturbationTimeline,
     TimelineProgram,
@@ -69,7 +62,6 @@ __all__ = [
     "DynamicRunResult",
     "compile_timeline",
     "run_dynamic_gtd",
-    "run_dynamic_gtd_lanes",
 ]
 
 #: backend name -> dynamic engine class (mirrors
@@ -77,7 +69,6 @@ __all__ = [
 DYNAMIC_ENGINE_BACKENDS = {
     "object": DynamicEngine,
     "flat": FlatDynamicEngine,
-    "batch": BatchDynamicEngine,
 }
 
 
@@ -214,106 +205,3 @@ def run_dynamic_gtd(
         if pool is not None:
             pool.checkin(engine)
 
-
-def run_dynamic_gtd_lanes(
-    graph: PortGraph,
-    timelines: Sequence[TimelineProgram | Sequence[WireMutation]],
-    budgets: Sequence[int],
-    *,
-    root: int = 0,
-    pool: EnginePool | None = None,
-) -> list[DynamicRunResult]:
-    """Run several dynamic GTD lanes over one graph, lock-step batched.
-
-    The lane-parallel sibling of :func:`run_dynamic_gtd`: lane ``i`` runs
-    ``timelines[i]`` under ``budgets[i]`` ticks on the ``batch`` backend,
-    all lanes advancing together through
-    :meth:`~repro.sim.batchcore.BatchLaneMixin.run_lanes`.  Each lane's
-    classification — transcript reconstruction, isomorphism check, phase
-    attribution — is byte-for-byte what a solo :func:`run_dynamic_gtd` of
-    the same program would produce (the batched-executor parity tests
-    enforce it); a deadlocked or protocol-violating lane is classified in
-    place instead of aborting its siblings.
-    """
-    check_backend("batch")
-    if len(budgets) != len(timelines):
-        raise ReproError(
-            f"got {len(budgets)} budgets for {len(timelines)} lane timelines"
-        )
-    lanes = len(timelines)
-    if lanes == 0:
-        return []
-    programs = LaneTimelines(tuple(timelines))
-    if pool is not None:
-        engine = pool.checkout(
-            BatchDynamicEngine,
-            graph,
-            GTDProcessor,
-            root=root,
-            timeline=programs,
-            lanes=lanes,
-        )
-    else:
-        processors = [GTDProcessor() for _ in graph.nodes()]
-        engine = BatchDynamicEngine(
-            graph, processors, programs, root=root, lanes=lanes
-        )
-    try:
-        runs = [
-            LaneRun(
-                max_ticks=int(budgets[i]),
-                until=(lambda p=engine.lane_engines[i].processors[root]: p.terminal),
-                drain=False,
-            )
-            for i in range(lanes)
-        ]
-        outcomes = engine.run_lanes(runs)
-        return [
-            _classify_lane(graph, root, timelines[i], outcomes[i])
-            for i in range(lanes)
-        ]
-    finally:
-        if pool is not None:
-            pool.checkin(engine)
-
-
-def _classify_lane(
-    graph: PortGraph,
-    root: int,
-    timeline: TimelineProgram | Sequence[WireMutation],
-    lane: LaneOutcome,
-) -> DynamicRunResult:
-    """One lane's :class:`DynamicRunResult`, mirroring :func:`run_dynamic_gtd`."""
-    eng = lane.engine
-    program = timeline if isinstance(timeline, TimelineProgram) else None
-
-    def result(outcome: DynamicOutcome, recovered, final) -> DynamicRunResult:
-        return DynamicRunResult(
-            outcome=outcome,
-            ticks=lane.ticks,
-            recovered=recovered,
-            final_topology=final,
-            lost_characters=eng.lost_characters,
-            hops=eng.metrics.total_delivered,
-            phase=program.phase_at(lane.ticks) if program is not None else "",
-            applied_ops=len(eng.applied_mutations),
-            transcript=eng.transcript,
-            metrics=eng.metrics,
-        )
-
-    final = eng.effective_topology()
-    if lane.error == "budget":
-        return result(DynamicOutcome.DEADLOCK, None, final)
-    if lane.error == "protocol":
-        return result(DynamicOutcome.PROTOCOL_ERROR, None, final)
-    try:
-        recovered = MasterComputer(strict=False).reconstruct(eng.transcript)
-        recovered_graph = recovered.to_portgraph(delta=graph.delta)
-        accurate = port_isomorphic(final, root, recovered_graph, ReconstructedMap.ROOT)
-    except (ReconstructionError, TranscriptError):
-        return result(DynamicOutcome.STALE, None, final)
-    return result(
-        DynamicOutcome.ACCURATE if accurate else DynamicOutcome.STALE,
-        recovered,
-        final,
-    )

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import ReproError, TickBudgetExceeded
-from repro.sim.batchcore import BatchEngine, BatchLaneMixin, have_numpy
 from repro.sim.engine import Engine
 from repro.sim.flatcore import FlatEngine
 from repro.sim.metrics import TrafficMetrics
@@ -59,13 +58,9 @@ __all__ = [
 DEFAULT_BACKEND = "object"
 
 #: name -> engine class implementing the :class:`Engine` run surface.
-#: ``batch`` is always registered (so it shows up in CLI choices and spec
-#: validation) but requires the optional numpy extra to actually run —
-#: :func:`check_backend` reports the missing dependency.
 ENGINE_BACKENDS: dict[str, type[Engine]] = {
     "object": Engine,
     "flat": FlatEngine,
-    "batch": BatchEngine,
 }
 
 
@@ -74,11 +69,6 @@ def check_backend(backend: str) -> str:
     if backend not in ENGINE_BACKENDS:
         raise ReproError(
             f"unknown engine backend {backend!r}; known: {sorted(ENGINE_BACKENDS)}"
-        )
-    if backend == "batch" and not have_numpy():
-        raise ReproError(
-            "engine backend 'batch' requires numpy, which is not installed; "
-            "install the optional extra: pip install 'repro-topology[batch]'"
         )
     return backend
 
@@ -155,7 +145,6 @@ class EnginePool:
         root: int = 0,
         record_transcript: bool = True,
         timeline=None,
-        lanes: int = 1,
     ) -> Engine:
         """An engine ready to run: reused and reset, or freshly built.
 
@@ -164,14 +153,8 @@ class EnginePool:
         classes take it positionally and accept it in ``reset``.
         ``processor_cls`` must be no-arg constructible (every processor in
         the stack is); the pool builds one instance per node.
-
-        ``lanes`` is part of the reuse signature: a batched engine built
-        for S lanes carries S processor columns and S lane data planes,
-        so it can only stand in for another S-lane checkout.  Lane counts
-        above 1 are passed through to the engine constructor (batch
-        classes only).
         """
-        key = (engine_cls, processor_cls, root, record_transcript, graph, lanes)
+        key = (engine_cls, processor_cls, root, record_transcript, graph)
         stack = self._idle.get(key)
         if stack:
             self.hits += 1
@@ -186,14 +169,9 @@ class EnginePool:
             return engine
         self.misses += 1
         processors = [processor_cls() for _ in range(graph.num_nodes)]
-        extra = {} if lanes == 1 else {"lanes": lanes}
         if timeline is None:
             engine = engine_cls(
-                graph,
-                processors,
-                root=root,
-                record_transcript=record_transcript,
-                **extra,
+                graph, processors, root=root, record_transcript=record_transcript
             )
         else:
             engine = engine_cls(
@@ -202,7 +180,6 @@ class EnginePool:
                 timeline,
                 root=root,
                 record_transcript=record_transcript,
-                **extra,
             )
         engine._pool_key = key
         return engine
@@ -237,16 +214,13 @@ def backend_of(engine: Engine) -> str:
     An exact match against the registry wins (so a registered engine
     class — including bench/test variants added to
     :data:`ENGINE_BACKENDS` — reports its own name); otherwise subclasses
-    (the dynamic engines) classify by their data plane: anything carrying
-    batch lanes is ``"batch"``, anything else built on
+    (the dynamic engines) classify by their data plane: anything built on
     :class:`FlatEngine` is ``"flat"``, every other :class:`Engine` is
     ``"object"``.
     """
     for name, cls in ENGINE_BACKENDS.items():
         if type(engine) is cls:
             return name
-    if isinstance(engine, BatchLaneMixin):
-        return "batch"
     return "flat" if isinstance(engine, FlatEngine) else "object"
 
 
@@ -270,17 +244,12 @@ class RunConfig:
             after each step).  Setting it forces the orchestrator onto the
             exact single-step path — the cleanup-invariant runner uses it
             to sweep the network after every completed RCA/BCA.
-        backend: which engine backend the run executes on (``"object"``,
-            ``"flat"`` or ``"batch"``).  Front-ends resolve it through
+        backend: which engine backend the run executes on (``"object"``
+            or ``"flat"``).  Front-ends resolve it through
             :func:`make_engine` before calling :func:`execute_run`, which
             then *checks* the engine it was handed actually is of the
             declared backend — a config that says ``flat`` cannot silently
             run on an object engine.
-        lanes: how many lock-step lanes the run spans.  Only the
-            ``batch`` backend is lane-parallel; every scalar run keeps the
-            default of 1.  Lanes above 1 are driven through
-            :meth:`~repro.sim.batchcore.BatchLaneMixin.run_lanes` rather
-            than :func:`execute_run` (which orchestrates one lane).
     """
 
     max_ticks: int
@@ -290,17 +259,9 @@ class RunConfig:
     drain_slack: int = 1000
     after_tick: Callable[[Engine], None] | None = field(default=None, compare=False)
     backend: str = DEFAULT_BACKEND
-    lanes: int = 1
 
     def __post_init__(self) -> None:
         check_backend(self.backend)
-        if self.lanes < 1:
-            raise ReproError(f"lane count must be >= 1, got {self.lanes}")
-        if self.lanes > 1 and self.backend != "batch":
-            raise ReproError(
-                f"backend {self.backend!r} is not lane-parallel; "
-                "lanes > 1 requires backend='batch'"
-            )
 
 
 @dataclass

@@ -22,7 +22,9 @@ place).  Those two choices buy the three campaign features for free:
   else raises :class:`~repro.errors.StoreError` loudly.
 
 Duplicate keys are legal (append-only stores re-record on re-run); the
-last record wins, mirroring "latest run of this cell".
+last record wins, mirroring "latest run of this cell".  Records of a
+retired engine backend (:data:`RETIRED_BACKENDS`) stay on disk but are
+skipped on load: no current scenario can name that backend.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.campaigns.spec import CampaignSpec, Scenario
 from repro.errors import StoreError
 
 __all__ = [
+    "RETIRED_BACKENDS",
     "STORE_FORMAT",
     "ResultStore",
     "StoreVerifyReport",
@@ -54,6 +57,11 @@ STORE_FORMAT = "repro.result-store/v1"
 #: up to 256 shards — enough to keep individual files small at campaign
 #: scale while staying trivially listable.
 _SHARD_PREFIX = 2
+
+#: Engine backends that once wrote records but no longer exist.  Their
+#: records live under spec hashes of their own, so skipping them never
+#: hides a cell a current campaign could ask for.
+RETIRED_BACKENDS = frozenset({"batch"})
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +129,12 @@ def result_from_doc(doc: dict) -> ScenarioResult:
         raise StoreError(f"malformed result record: {exc}") from exc
 
 
+def _is_retired(record: dict) -> bool:
+    """Whether a shard record was written by a retired backend."""
+    scenario = record["result"]["scenario"]
+    return isinstance(scenario, dict) and scenario.get("backend") in RETIRED_BACKENDS
+
+
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
@@ -180,6 +194,8 @@ class ResultStore:
             try:
                 record = json.loads(raw)
                 key = record["key"]
+                if _is_retired(record):
+                    continue
                 result = result_from_doc(record["result"])
             except (json.JSONDecodeError, KeyError, TypeError, StoreError) as exc:
                 if lineno == len(lines) - 1:
@@ -304,7 +320,8 @@ class StoreVerifyReport:
     that does not match the stored scenario's recomputed spec hash.
     ``torn`` entries are truncated *final* lines: the expected signature of
     a run killed mid-append, reported as warnings (the loader drops them
-    safely) rather than corruption.
+    safely) rather than corruption.  ``retired`` counts records of a
+    :data:`RETIRED_BACKENDS` backend, which the loader skips.
     """
 
     root: str
@@ -312,6 +329,7 @@ class StoreVerifyReport:
     records: int = 0
     keys: int = 0
     duplicates: int = 0
+    retired: int = 0
     torn: list[str] = field(default_factory=list)
     problems: list[str] = field(default_factory=list)
 
@@ -326,6 +344,11 @@ class StoreVerifyReport:
             f"{self.records} record(s), {self.keys} key(s), "
             f"{self.duplicates} duplicate(s)"
         ]
+        if self.retired:
+            lines.append(
+                f"{self.retired} record(s) of retired backend(s) "
+                f"{', '.join(sorted(RETIRED_BACKENDS))}, skipped on load"
+            )
         for entry in self.torn:
             lines.append(f"TORN {entry}")
         for entry in self.problems:
@@ -377,6 +400,9 @@ def verify_result_store(root: str | os.PathLike) -> StoreVerifyReport:
             try:
                 record = json.loads(raw)
                 key = record["key"]
+                if _is_retired(record):
+                    report.retired += 1
+                    continue
                 result = result_from_doc(record["result"])
             except (json.JSONDecodeError, KeyError, TypeError, StoreError) as exc:
                 if lineno == len(lines) - 1:

@@ -7,8 +7,9 @@ curve (Theorem 5.1).  ``linear_fit`` performs an ordinary least-squares line
 fit; ``power_fit`` fits ``y = a * x^b`` in log-log space to estimate the
 scaling exponent.
 
-Implemented with pure Python (no numpy requirement) so the core library has
-zero mandatory dependencies; numpy-based cross-checks live in the tests.
+Implemented in pure Python so the core library has zero dependencies; the
+tests cross-check the fits against an array library's ``polyfit`` when one
+is installed.
 """
 
 from __future__ import annotations

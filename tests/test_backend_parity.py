@@ -23,7 +23,6 @@ from repro.campaigns.spec import Scenario, build_family
 from repro.protocol.bca import run_single_bca
 from repro.protocol.rca import run_single_rca
 from repro.protocol.runner import determine_topology
-from repro.sim.batchcore import have_numpy
 from repro.sim.transcript import Transcript
 from repro.topology import generators
 
@@ -232,65 +231,17 @@ def test_timeline_campaign_cell_parity(fault, seed):
 
 
 # ----------------------------------------------------------------------
-# the batch backend: every decoded lane must equal the flat backend
+# the cached executor: memoized cells must equal fresh per-cell runs
 # ----------------------------------------------------------------------
-needs_numpy = pytest.mark.skipif(
-    not have_numpy(), reason="numpy not installed (the [batch] extra)"
-)
-
 FUZZ = os.environ.get("REPRO_PARITY_FUZZ") == "1"
 
 
-@needs_numpy
-@pytest.mark.parametrize("family,size,seed", GTD_CASES)
-def test_gtd_batch_single_lane_parity(family, size, seed):
-    """A scalar batch engine (lanes=1) is a flat engine, byte for byte."""
-    graph = build_family(family, size, seed)
-    flat = determine_topology(graph, backend="flat")
-    batch = determine_topology(graph, backend="batch")
-    assert_same_run(flat, batch)
-    assert batch.matches(graph)
-
-
-@needs_numpy
-def test_multi_lane_run_equals_solo_flat_runs():
-    """Each lane of one lock-step batched run == its solo flat run."""
-    from repro.dynamics import compile_timeline, run_dynamic_gtd
-    from repro.dynamics.experiment import run_dynamic_gtd_lanes
-
-    graph = build_family("spare-ring", 10, 0)
-    timelines = [
-        compile_timeline("storm:p=0.25@0.3", graph, seed=1),
-        compile_timeline("cut@0.2+heal@0.25", graph, seed=2),
-        (),  # a healthy lane riding along
-        compile_timeline("churn:rate=0.15,period=0.25,heal=0.5,until=1.5",
-                         graph, seed=3),
-    ]
-    budgets = [
-        (program.horizon if program else 100) * 3 + 1000
-        for program in timelines
-    ]
-    lanes = run_dynamic_gtd_lanes(graph, timelines, budgets)
-    assert len(lanes) == len(timelines)
-    for program, budget, lane in zip(timelines, budgets, lanes):
-        solo = run_dynamic_gtd(graph, program, max_ticks=budget, backend="flat")
-        assert lane.outcome == solo.outcome
-        assert lane.ticks == solo.ticks
-        assert lane.phase == solo.phase
-        assert lane.applied_ops == solo.applied_ops
-        assert lane.lost_characters == solo.lost_characters
-        assert lane.hops == solo.hops
-        assert transcript_bytes(lane.transcript) == transcript_bytes(
-            solo.transcript
-        )
-        assert lane.metrics.delivered == solo.metrics.delivered
-        assert lane.final_topology == solo.final_topology
-
-
-def _batch_campaign_matrix():
+def _memo_campaign_matrix():
     families = ["spare-ring", "random"]
+    # cut:1.0 lands exactly on the undisturbed terminal tick: it fires, so
+    # the memo must not reduce it to the healthy run the way it does cut:1.5
     faults = [
-        "none", "shutdown:0.15", "cut:0.4", "cut:1.5",
+        "none", "shutdown:0.15", "cut:0.4", "cut:1.0", "cut:1.5",
         "storm:p=0.25@0.3", "frontier:k=2@0.4",
     ]
     sizes = [10]
@@ -305,7 +256,7 @@ def _batch_campaign_matrix():
         sizes += [13]
         seeds += [2, 3]
     return [
-        Scenario(family, size, fault, seed, "batch")
+        Scenario(family, size, fault, seed, "flat")
         for family in families
         for size in sizes
         for fault in faults
@@ -315,44 +266,37 @@ def _batch_campaign_matrix():
     ]
 
 
-@needs_numpy
-def test_batched_campaign_fanout_equals_flat_cells():
-    """The fused batch executor fans out cells identical to solo flat runs.
+def test_cached_campaign_fanout_equals_fresh_cells():
+    """The cached executor fans out cells identical to fresh per-cell runs.
 
-    This is the lane-vs-flat byte-parity leg over the whole campaign
-    pipeline: chunk fusion, cohort dedup, lock-step lanes, per-lane
-    result fan-out — every cell must equal its solo ``flat``
-    :func:`run_scenario` in every field except the backend tag
-    (the extended matrix runs under ``REPRO_PARITY_FUZZ=1``).
+    Covers the whole cached pipeline — chunking, the graph and healthy-run
+    memos, the dynamic-run memo with its post-terminal reduction, per-cell
+    phase labels — against ``run_scenario(..., fresh=True)``, which
+    bypasses every memo (the extended matrix runs under
+    ``REPRO_PARITY_FUZZ=1``).
     """
-    from dataclasses import asdict, replace
+    from repro.campaigns.executor import clear_scenario_caches, run_campaign
 
-    from repro.campaigns.executor import run_campaign
-
-    scenarios = _batch_campaign_matrix()
+    scenarios = _memo_campaign_matrix()
+    clear_scenario_caches()
     campaign = run_campaign(scenarios, jobs=1)
     for scenario, result in zip(scenarios, campaign.results):
-        flat = run_scenario(replace(scenario, backend="flat"))
-        got, want = asdict(result), asdict(flat)
-        got.pop("scenario"), want.pop("scenario")
-        assert got == want, f"batch != flat on {scenario.label}"
+        assert result == run_scenario(scenario, fresh=True), scenario.label
 
 
-@needs_numpy
-def test_batched_campaign_invariant_in_jobs_and_lanes():
-    """jobs=1 == jobs=N and any --lanes cap, cell for cell."""
+def test_cached_campaign_invariant_in_jobs():
+    """jobs=1 == jobs=N, cell for cell, with every memo in play."""
     from repro.campaigns.executor import (
         clear_scenario_caches,
         run_campaign,
         shutdown_worker_pool,
     )
 
-    scenarios = _batch_campaign_matrix()[:24]
+    scenarios = _memo_campaign_matrix()[:24]
     base = run_campaign(scenarios, jobs=1)
     try:
-        for kwargs in ({"jobs": 2}, {"jobs": 1, "lanes": 2}):
-            clear_scenario_caches()
-            assert run_campaign(scenarios, **kwargs).results == base.results
+        clear_scenario_caches()
+        assert run_campaign(scenarios, jobs=2).results == base.results
     finally:
         shutdown_worker_pool()
 

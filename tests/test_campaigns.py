@@ -292,3 +292,24 @@ class TestInfeasibleCells:
         assert by_label["de-bruijn(6)/none/s0"] == "exact"
         assert by_label["de-bruijn(6)/add:1.2/s0"] == "infeasible"
         assert by_label["spare-ring(6)/add:1.2/s0"] == "accurate"
+
+
+def test_campaign_and_cli_imports_stay_free_of_array_libraries():
+    """The executor and CLI run on the stdlib alone, numpy included."""
+    import pathlib
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, repro.campaigns.executor, repro.cli; "
+        "print('numpy' in sys.modules)"
+    )
+    src_dir = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": src_dir},
+    )
+    assert out.stdout.strip() == "False"

@@ -23,7 +23,6 @@ from repro.dynamics.experiment import compile_timeline, run_dynamic_gtd
 from repro.protocol.bca import run_single_bca
 from repro.protocol.rca import run_single_rca
 from repro.protocol.runner import determine_topology
-from repro.sim.batchcore import BatchEngine, have_numpy
 from repro.sim.characters import CharInterner, clear_interner_cache, interner_for
 from repro.sim.run import ENGINE_BACKENDS, EnginePool
 from repro.topology import generators
@@ -215,69 +214,6 @@ def test_pool_keys_separate_backends_and_processor_types():
     flat = pool.checkout(ENGINE_BACKENDS["flat"], graph, GTDProcessor)
     scripted = pool.checkout(ENGINE_BACKENDS["object"], graph, ScriptedRCADriver)
     assert flat is not a and scripted is not a
-
-
-# ----------------------------------------------------------------------
-# batched lanes through the pool
-# ----------------------------------------------------------------------
-needs_numpy = pytest.mark.skipif(
-    not have_numpy(), reason="numpy not installed (the [batch] extra)"
-)
-
-
-@needs_numpy
-def test_pool_keys_separate_lane_counts():
-    """A 3-lane batch engine must never be handed out for a 1-lane ask."""
-    from repro.protocol.gtd import GTDProcessor
-
-    graph = build_family("de-bruijn", 8, 0)
-    pool = EnginePool()
-    solo = pool.checkout(BatchEngine, graph, GTDProcessor)
-    wide = pool.checkout(BatchEngine, graph, GTDProcessor, lanes=3)
-    assert solo is not wide and solo.lanes == 1 and wide.lanes == 3
-    pool.checkin(solo)
-    pool.checkin(wide)
-    assert pool.checkout(BatchEngine, graph, GTDProcessor, lanes=3) is wide
-    assert pool.checkout(BatchEngine, graph, GTDProcessor) is solo
-
-
-@needs_numpy
-def test_batch_checkout_reset_checkin_parity():
-    """A reused batched engine reruns its lanes byte-identically."""
-    from repro.dynamics.experiment import run_dynamic_gtd_lanes
-
-    graph = build_family("spare-ring", 10, 0)
-    programs = [
-        compile_timeline(TIMELINES[0], graph, seed=3),
-        compile_timeline(TIMELINES[1], graph, seed=4),
-        (),
-    ]
-    budgets = [1000, 1000, 1000]
-    fresh = run_dynamic_gtd_lanes(graph, programs, budgets)
-    pool = EnginePool()
-    first = run_dynamic_gtd_lanes(graph, programs, budgets, pool=pool)
-    reused = run_dynamic_gtd_lanes(graph, programs, budgets, pool=pool)
-    assert pool.misses == 1 and pool.hits == 1
-    for a, b, c in zip(fresh, first, reused):
-        assert_same_dynamic_result(a, b)
-        assert_same_dynamic_result(a, c)
-
-
-@needs_numpy
-def test_batch_reset_swaps_lane_timelines_cleanly():
-    """Reused lanes loaded with swapped programs forget the old ones."""
-    from repro.dynamics.experiment import run_dynamic_gtd_lanes
-
-    graph = build_family("spare-ring", 10, 1)
-    heavy = compile_timeline(TIMELINES[0], graph, seed=3)
-    light = compile_timeline("cut@1.5", graph, seed=3)
-    pool = EnginePool()
-    run_dynamic_gtd_lanes(graph, [heavy, light], [900, 900], pool=pool)
-    fresh = run_dynamic_gtd_lanes(graph, [light, heavy], [900, 900])
-    reused = run_dynamic_gtd_lanes(graph, [light, heavy], [900, 900], pool=pool)
-    assert pool.hits == 1
-    for a, b in zip(fresh, reused):
-        assert_same_dynamic_result(a, b)
 
 
 # ----------------------------------------------------------------------

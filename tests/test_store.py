@@ -283,6 +283,26 @@ class TestStoreVerify:
         assert report.records == 2 and report.keys == 1
         assert report.duplicates == 1
 
+    def test_retired_backend_records_are_skipped_not_corrupt(self, capsys, tmp_path):
+        store = ResultStore(tmp_path / "run")
+        flat = run_scenario(Scenario("de-bruijn", 6, backend="flat"))
+        key = store.put(flat)
+        # a record the removed lane-parallel backend wrote, by hand: its
+        # scenario can no longer be rebuilt, so loading it would raise
+        doc = result_to_doc(flat)
+        doc["scenario"]["backend"] = "batch"
+        shard = tmp_path / "run" / "shards" / f"{key[:2]}.jsonl"
+        with shard.open("a") as fh:
+            fh.write(json.dumps({"key": "ab" * 32, "result": doc}) + "\n")
+        reopened = ResultStore(tmp_path / "run")
+        assert len(reopened) == 1
+        assert reopened.get(flat.scenario) == flat
+        report = verify_result_store(tmp_path / "run")
+        assert report.ok
+        assert report.retired == 1 and report.records == 1
+        assert main(["store", str(tmp_path / "run"), "--verify"]) == 0
+        assert "1 record(s) of retired backend(s) batch" in capsys.readouterr().out
+
     def test_cli_verify_front_door(self, capsys, tmp_path):
         run_campaign(SPEC, store=tmp_path / "run")
         assert main(["store", str(tmp_path / "run"), "--verify"]) == 0

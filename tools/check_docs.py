@@ -115,9 +115,6 @@ _CLAIMS = [
     ("BENCH_camp.json", "full_fresh_scenarios_per_second", lambda v: f"{v:.1f}"),
     ("BENCH_camp.json", "full_scenarios_per_second", lambda v: f"{v:.1f}"),
     ("BENCH_camp.json", "full_cached_speedup", lambda v: f"{v:.2f}×"),
-    ("BENCH_batch.json", "full_scenarios_per_second", lambda v: f"{v:.1f}"),
-    ("BENCH_batch.json", "full_flat_scenarios_per_second", lambda v: f"{v:.1f}"),
-    ("BENCH_batch.json", "full_batch_speedup", lambda v: f"{v:.2f}×"),
     ("BENCH_kernel.json", "code_space_hops_per_second", lambda v: f"{v / 1e3:.0f}k"),
     ("BENCH_kernel.json", "object_path_hops_per_second", lambda v: f"{v / 1e3:.0f}k"),
     ("BENCH_kernel.json", "code_space_speedup", lambda v: f"{v:.2f}×"),
