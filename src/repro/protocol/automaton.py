@@ -141,12 +141,6 @@ class ProtocolProcessor(Processor):
     #: the flat-core backend wire never-purged kinds straight to the wheel.
     PURGES_ONLY_GROWING = True
 
-    #: The hot relay/stream transitions live entirely in the GrowingMarks /
-    #: DyingRelay registers, which the character kernel's transition tables
-    #: encode as per-family phases — the flat-core backend may table-walk
-    #: this processor's deliveries (escapes land back in the handlers).
-    TABLE_AUTOMATON = True
-
     def __init__(self) -> None:
         super().__init__()
         self.growing = {"IG": GrowingMarks(), "OG": GrowingMarks(), "BG": GrowingMarks()}

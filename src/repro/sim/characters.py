@@ -507,7 +507,7 @@ def kernel_size(delta: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# the transition program (table-walked automaton support)
+# the transition program (the automaton as stored, machine-checked data)
 # ----------------------------------------------------------------------
 # The hot protocol automaton — the §2.3.2 growing relay and the §2.3.3
 # dying body stream, exactly the transitions the per-node code handlers of
@@ -515,11 +515,13 @@ def kernel_size(delta: int) -> int:
 # machine over a small per-node register file (visited/parent marks per
 # growing family, relay pred/succ/promotion per dying family).  Encoding
 # each family's register state as a small *phase* integer turns every hot
-# delivery into one table row lookup ``(code, in_port, phase) -> row``;
-# everything the row cannot express (interceptions, head promotion,
-# terminal steps, loop/KILL/UNMARK/DFS tokens, stale shadow state) is an
-# *escape* row that falls back to the closure/object handlers, so the
-# table can only ever reproduce — never replace — the proven semantics.
+# transition into one row ``(code, in_port, phase) -> row`` of the
+# ``char_trans`` tensor; everything a row cannot express (interceptions,
+# head promotion, terminal steps, loop/KILL/UNMARK/DFS tokens) is an
+# *escape* row that defers to the handlers.  The tensor rides artifact
+# format v3 and is proven row by row against the object path; no Python
+# stepper walks it — the flat backend delivers through the code handlers,
+# and the rows are the data a native stepper would execute.
 #
 # Phase encoding, per snake family bank (six banks per node, indexed by
 # the :data:`SNAKE_FAMILIES` family index):
@@ -539,7 +541,7 @@ def kernel_size(delta: int) -> int:
 # no second lookup — this also covers DFS fill-in); positive rows decode
 # as ``op | next_phase << 3 | emit_port << 19 | emit_code << 25``.
 
-#: row & TRANS_OP_MASK -> what the stepper does with a positive row
+#: row & TRANS_OP_MASK -> what a positive row does
 TRANS_OP_MASK = 0b111
 #: re-broadcast the filled code at tick+3 (§2.3.2 head flood / body pass)
 TRANS_OP_BCAST = 1
@@ -585,7 +587,9 @@ class CharKernel:
     The eight ``array('q')`` tables are the serializable compile-time
     product (they ride topology artifacts); the plain-list mirrors and the
     derived constructor tables exist because CPython indexes a ``list``
-    faster than an ``array`` in the hot loop.
+    faster than an ``array`` in the hot loop.  ``char_trans`` has no
+    mirror: the transition program is stored and machine-checked, but no
+    Python stepper walks it.
 
     Serialized tables (``K = kernel_size(delta)`` codes,
     ``P = n_phases(delta)`` phases):
@@ -631,9 +635,6 @@ class CharKernel:
         "as_head_list",
         "body_codes",
         "handler_plan",
-        "bank_list",
-        "trans_rows",
-        "trans_walkable",
     )
 
     def __init__(self, delta: int) -> None:
@@ -770,15 +771,10 @@ class CharKernel:
         self.handler_plan = plan
 
         # ---- the transition program (see the module-level row encoding) --
-        #: code -> family bank index the stepper reads its phase from.
-        #: Non-snake codes borrow bank 0; their rows are all escapes, so
-        #: any in-range phase decodes to the same (escape) action.
-        self.bank_list = [f if f >= 0 else 0 for f in family]
         P = n_phases(delta)
         esc = growing_esc_phase(delta)
         stride = delta + 1
         trans = [0] * (n * stride * P)
-        walkable = bytearray(n)
         for code in range(n):
             fam = family[code]
             for j in range(stride):
@@ -793,7 +789,6 @@ class CharKernel:
                 r = role[fc]
                 common = fc << TRANS_CODE_SHIFT
                 if fam in _GROWING_BANKS:
-                    walkable[code] = 1
                     # phase 0 (unvisited): first head claims the node,
                     # stray bodies/tails are post-KILL debris (D6)
                     trans[base] = (
@@ -814,7 +809,6 @@ class CharKernel:
                         trans[base + ph] = row
                     assert trans[base + esc] == escape_row  # interception
                 elif r == 1:
-                    walkable[code] = 1
                     # dying body through the relay's pred port streams out
                     # of succ; every other dying configuration (inactive,
                     # promotion pending, heads/tails, wrong port) escapes
@@ -827,23 +821,6 @@ class CharKernel:
                             | common
                         )
         self.char_trans = array("q", trans)
-        #: the transition table re-sliced ``[code][in_port] -> phase row``,
-        #: same idiom as ``fill_rows``
-        self.trans_rows = [
-            [
-                trans[(c * stride + j) * P : (c * stride + j + 1) * P]
-                for j in range(stride)
-            ]
-            for c in range(n)
-        ]
-        #: code -> 1 if at least one ``(in_port, phase)`` row is
-        #: table-serviced (set during the build above, where the rows are
-        #: written — a test cross-checks it against a full table scan).
-        #: Tokens, KILL/UNMARK and dying heads/tails have all-escape
-        #: planes: the stepper routes them straight to the closure path
-        #: without a register sync or a row read — the escape row would
-        #: only rediscover the kernel fill.
-        self.trans_walkable = walkable
 
     def tables(self) -> tuple[array, ...]:
         """The eight serializable tables, in artifact format-v3 order."""

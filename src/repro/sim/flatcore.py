@@ -50,8 +50,6 @@ from repro.sim.characters import (
     STAR,
     Char,
     CharInterner,
-    dying_phase,
-    growing_esc_phase,
     interner_for,
     is_growing,
     kernel_for,
@@ -282,14 +280,6 @@ class FlatEngine(Engine):
     #: tables are resolved per node on first fallback use (see Engine)
     EAGER_DISPATCH = False
 
-    #: The transition-table stepper: nodes whose processor declares
-    #: ``TABLE_AUTOMATON`` have their deliveries resolved by one indexed
-    #: load into :attr:`CharKernel.trans_rows` — drop, inline emission, or
-    #: escape — instead of calling a handler closure per event.  A
-    #: benchmark control subclass sets this False to measure the
-    #: closure-dispatch path on an otherwise identical engine.
-    TABLE_WALK = True
-
     def __init__(
         self,
         graph: PortGraph,
@@ -340,28 +330,19 @@ class FlatEngine(Engine):
         self._in_shift = (
             list(shared_in_shift) if self.MUTATES_TOPOLOGY else shared_in_shift
         )
-        # A subclass that intercepts emissions by overriding _put_on_wire
-        # forfeits the fused drain loop and send-time sinks: every entry
-        # must route through its override.  FlatDynamicEngine deliberately
-        # does NOT override it — it patches the compiled tables in place
-        # and handles cut slots via _blocked_emission (plus per-node sink
-        # parking while a node's own out-wiring is degraded), which is what
-        # keeps dynamic runs on this fast path.
-        self._fused_drain = type(self)._put_on_wire is FlatEngine._put_on_wire
         #: node -> (sink, broadcast, purge) closures, kept so a reset can
         #: re-install the very same objects (they memoize per-node state
         #: and the dynamic engine parks/restores them by identity)
         self._fast_paths: dict[int, tuple] = {}
-        if self._fused_drain:
-            for node, proc in enumerate(processors):
-                if node != root and proc.PURGES_ONLY_GROWING:
-                    paths = (
-                        self._make_direct_sink(node),
-                        self._make_broadcast_sink(node),
-                        self._make_purge_hook(node),
-                    )
-                    self._fast_paths[node] = paths
-                    proc._direct_sink, proc._direct_broadcast, proc._purge_hook = paths
+        for node, proc in enumerate(processors):
+            if node != root and proc.PURGES_ONLY_GROWING:
+                paths = (
+                    self._make_direct_sink(node),
+                    self._make_broadcast_sink(node),
+                    self._make_purge_hook(node),
+                )
+                self._fast_paths[node] = paths
+                proc._direct_sink, proc._direct_broadcast, proc._purge_hook = paths
         # ---- the code-space kernel (compile-time character algebra) ----
         # Every character operation the hot loop needs — fill, role, family,
         # priority — is a pure function on the Lemma 5.2 census, precomputed
@@ -397,66 +378,6 @@ class FlatEngine(Engine):
         #: the live view: the dynamic engine parks a degraded node's entry
         #: (sets it None) and restores it, mirroring its sink parking
         self._chandlers: list[list | None] = list(self._chandlers_all)
-        # ---- the table-walked automaton -------------------------------
-        # Shadow phase registers, 6 per node (one per snake-family bank):
-        # each is the node's GrowingMarks / DyingRelay state for that bank
-        # expressed as an index into the kernel's transition rows.  A
-        # delivery at a table-walked node is then one row lookup — 0 drops,
-        # a positive row emits inline through the node's precompiled wire
-        # program below, a negative row escapes to the code/object path
-        # (which resynchronizes the shadow phases afterwards).  Validity is
-        # tracked per node so :meth:`wake` can invalidate cheaply after a
-        # scripted driver mutates registers directly.
-        n_nodes = len(processors)
-        self._tw_phase: list[int] = [0] * (n_nodes * 6)
-        self._tw_valid = bytearray(b"\x01" * n_nodes)
-        #: node -> (all_wires, wire_by_port, tail_wires, n_wires) or None
-        #: (not table-walked).  all_wires: (dst, in_port << PORT_SHIFT) per
-        #: connected out-port, the broadcast shape; wire_by_port: the same
-        #: pairs indexed by out-port ((-1, 0) when unwired, matching the
-        #: code sink's unconnected-slot error); tail_wires: per family
-        #: bank, (dst, shifted_in, body_code, packed_base) per out-port —
-        #: the §2.3.2 tail relay's body appends fully resolved.
-        self._tw_nodes: list[tuple | None] = [None] * n_nodes
-        if self.TABLE_WALK:
-            code_base = self._code_base
-            stride = topo.stride
-            for node, ctable in enumerate(self._chandlers_all):
-                if ctable is None or not processors[node].TABLE_AUTOMATON:
-                    continue
-                slot_base = node * stride
-                out_ports = topo.out_ports_of(node)
-                all_wires = tuple(
-                    (
-                        topo.wire_dst[slot_base + port],
-                        self._in_shift[slot_base + port],
-                    )
-                    for port in out_ports
-                )
-                wire_by_port: list[tuple[int, int]] = [(-1, 0)] * stride
-                for port in out_ports:
-                    wire_by_port[port] = (
-                        topo.wire_dst[slot_base + port],
-                        self._in_shift[slot_base + port],
-                    )
-                tail_wires = tuple(
-                    tuple(
-                        (
-                            topo.wire_dst[slot_base + port],
-                            self._in_shift[slot_base + port],
-                            bodies[port],
-                            code_base[bodies[port]],
-                        )
-                        for port in out_ports
-                    )
-                    for bodies in kernel.body_codes
-                )
-                self._tw_nodes[node] = (
-                    all_wires,
-                    wire_by_port,
-                    tail_wires,
-                    len(all_wires),
-                )
         self._pack_tick_locals()
 
     def _pack_tick_locals(self) -> None:
@@ -467,7 +388,6 @@ class FlatEngine(Engine):
         bundle is either identity-stable across a reset (lists mutated in
         place) or re-packed by :meth:`reset` (the transcript is rebound).
         """
-        wheel = self._wheel
         self._tick_locals = (
             self.processors,
             self._code_handlers,
@@ -478,21 +398,6 @@ class FlatEngine(Engine):
             self._chandlers,
             self._kernel_fill,
             self._kernel.n_codes,
-            self._tw_nodes,
-            # the table-walk emission pack: everything the inline wire
-            # program touches, all identity-stable across a reset
-            (
-                self._tw_phase,
-                self._tw_valid,
-                self._kernel.trans_rows,
-                self._kernel.trans_walkable,
-                self._kernel.bank_list,
-                self._code_base,
-                self._emitted_by_code,
-                wheel._buckets,
-                wheel._ring,
-                wheel._ticks,
-            ),
         )
 
     def reset(self) -> None:
@@ -515,66 +420,7 @@ class FlatEngine(Engine):
         # un-park every code-handler table (the closures themselves survive:
         # they reach all mutable processor state through `self` per call)
         self._chandlers[:] = self._chandlers_all
-        # power-on registers are quiescent, so the shadow phases are all
-        # zero and uniformly valid (both containers mutate in place — the
-        # packed tick locals alias them)
-        tw_phase = self._tw_phase
-        tw_phase[:] = [0] * len(tw_phase)
-        self._tw_valid[:] = b"\x01" * len(self._tw_valid)
         self._pack_tick_locals()  # the transcript recorder was rebound
-
-    def wake(self, node: int) -> None:
-        # Scripted drivers (the single-RCA/BCA harnesses) call methods on a
-        # processor directly and then wake it: its registers may have moved
-        # without a delivery, so the shadow phases must be rederived before
-        # its next table-walked delivery.
-        self._tw_valid[node] = 0
-        super().wake(node)
-
-    def _tw_sync(self, node: int) -> None:
-        """Rederive ``node``'s shadow phases from its protocol registers.
-
-        Called whenever the registers may have changed outside the table
-        walk itself: after every escape or object-path delivery at the
-        node, and lazily after a :meth:`wake` invalidation.  Any register
-        shape the phase encoding cannot express maps to a phase whose rows
-        all escape, so an inexpressible state costs speed, never
-        correctness.
-        """
-        proc = self.processors[node]
-        tw_phase = self._tw_phase
-        base = node * 6
-        delta = self._topo.delta
-        esc = growing_esc_phase(delta)
-        # growing banks: unvisited / visited-via-parent, except that an
-        # engaged candidacy intercepts its own snake family (the closures'
-        # rca_phase / bca_phase pre-checks) — that whole bank escapes
-        m = proc._marks_ig
-        tw_phase[base] = (1 + (m.parent_in or 0)) if m.visited else 0
-        m = proc._marks_og
-        tw_phase[base + 1] = (
-            esc if proc.rca_phase else (1 + (m.parent_in or 0)) if m.visited else 0
-        )
-        m = proc._marks_bg
-        tw_phase[base + 4] = (
-            esc if proc.bca_phase else (1 + (m.parent_in or 0)) if m.visited else 0
-        )
-        # dying banks: an active relay's (pred, succ, promote_next) triple,
-        # phase 0 (all rows escape) otherwise
-        for off, relay in (
-            (2, proc._relay_id),
-            (3, proc._relay_od),
-            (5, proc._relay_bd),
-        ):
-            pred = relay.pred
-            succ = relay.succ
-            if relay.active and pred is not None and succ is not None:
-                tw_phase[base + off] = dying_phase(
-                    delta, pred, succ, 1 if relay.promote_next else 0
-                )
-            else:
-                tw_phase[base + off] = 0
-        self._tw_valid[node] = 1
 
     # ------------------------------------------------------------------
     # metrics: counted per code in flat lists, materialized on read
@@ -734,21 +580,7 @@ class FlatEngine(Engine):
                 live_chandlers,
                 kfill,
                 kn,
-                tw_nodes,
-                (
-                    tw_phase,
-                    tw_valid,
-                    trans_rows,
-                    walkable,
-                    bank_list,
-                    code_base,
-                    emitted,
-                    buckets,
-                    ring,
-                    wticks,
-                ),
             ) = self._tick_locals
-            tw_sync = self._tw_sync
             n_codes = len(fill_table)
             tracer = self.tracer
             lanes = bucket.lanes
@@ -768,201 +600,6 @@ class FlatEngine(Engine):
                 entries = sorted(lane) if len(lane) > 1 else lane
                 ctable = chandlers[node] if chandlers is not None else None
                 if ctable is not None:
-                    tw = tw_nodes[node]
-                    if tw is not None:
-                        # Table-walked delivery: the protocol automaton
-                        # lowered to kernel transition rows.  One row
-                        # lookup replaces fill + dispatch + closure frame
-                        # for every escape-free transition; row layout is
-                        # op | phase << 3 | port << 19 | code << 25 (see
-                        # sim/characters.py), 0 drops, negative escapes to
-                        # the code/object path with the filled code fused
-                        # in — and every escape drops the node's shadow
-                        # phases (the cold handlers move registers), to be
-                        # rederived just before the next row read.  Lazy,
-                        # not eager: a KILL/UNMARK/token flood pays one
-                        # byte store per delivery, never a 6-bank resync.
-                        proc._tick = tick
-                        tw_base = node * 6
-                        all_wires, wire_by_port, tail_wires, n_wires = tw
-                        handlers = fallback = None
-                        for packed in entries:
-                            code = packed & code_mask
-                            in_port = (packed >> port_shift) & port_mask
-                            if code < kn and walkable[code]:
-                                if not tw_valid[node]:
-                                    tw_sync(node)
-                                bank = bank_list[code]
-                                row = trans_rows[code][in_port][
-                                    tw_phase[tw_base + bank]
-                                ]
-                                if row == 0:
-                                    continue
-                                if row > 0:
-                                    op = row & 7
-                                    fc = row >> 25
-                                    if op == 4:
-                                        # dying body pass-through: one
-                                        # append on the relay's succ wire
-                                        dst, shifted_in = wire_by_port[
-                                            (row >> 19) & 63
-                                        ]
-                                        if dst < 0:
-                                            raise SimulationError(
-                                                f"node {node} emitted "
-                                                f"{chars[fc]} through "
-                                                "unconnected out-port "
-                                                f"{(row >> 19) & 63}"
-                                            )
-                                        emitted[fc] += 1
-                                        arrival = tick + 3
-                                        tbucket = buckets.get(arrival)
-                                        if tbucket is None:
-                                            tbucket = (
-                                                ring.pop() if ring else _Bucket()
-                                            )
-                                            buckets[arrival] = tbucket
-                                            wticks.append(arrival)
-                                            if (
-                                                len(wticks) > 1
-                                                and arrival < wticks[-2]
-                                            ):
-                                                wticks.sort()
-                                        tlanes = tbucket.lanes
-                                        tlane = tlanes.get(dst)
-                                        if tlane is None:
-                                            tlane = tlanes[dst] = array("q")
-                                            tbucket.nodes.append(dst)
-                                        elif not tlane:
-                                            tbucket.nodes.append(dst)
-                                        tlane.append(
-                                            code_base[fc]
-                                            | shifted_in
-                                            | (len(tlane) << SEQ_SHIFT)
-                                        )
-                                        continue
-                                    if op == 3:
-                                        # tail relay: per-port body appends
-                                        # this residence, filled tail
-                                        # broadcast one tick later
-                                        arrival = tick + 3
-                                        tbucket = buckets.get(arrival)
-                                        if tbucket is None:
-                                            tbucket = (
-                                                ring.pop() if ring else _Bucket()
-                                            )
-                                            buckets[arrival] = tbucket
-                                            wticks.append(arrival)
-                                            if (
-                                                len(wticks) > 1
-                                                and arrival < wticks[-2]
-                                            ):
-                                                wticks.sort()
-                                        tlanes = tbucket.lanes
-                                        tnodes = tbucket.nodes
-                                        for (
-                                            dst,
-                                            shifted_in,
-                                            bcode,
-                                            bbase,
-                                        ) in tail_wires[bank]:
-                                            emitted[bcode] += 1
-                                            tlane = tlanes.get(dst)
-                                            if tlane is None:
-                                                tlane = tlanes[dst] = array("q")
-                                                tnodes.append(dst)
-                                            elif not tlane:
-                                                tnodes.append(dst)
-                                            tlane.append(
-                                                bbase
-                                                | shifted_in
-                                                | (len(tlane) << SEQ_SHIFT)
-                                            )
-                                        arrival += 1
-                                    else:
-                                        # op 1 broadcast, op 2 mark first:
-                                        # the §2.3.2 head mark is the only
-                                        # register write the tables own
-                                        if op == 2:
-                                            tw_phase[tw_base + bank] = (
-                                                row >> 3
-                                            ) & 0xFFFF
-                                            (
-                                                proc._marks_ig
-                                                if bank == 0
-                                                else proc._marks_og
-                                                if bank == 1
-                                                else proc._marks_bg
-                                            ).mark(in_port)
-                                        arrival = tick + 3
-                                    emitted[fc] += n_wires
-                                    tbucket = buckets.get(arrival)
-                                    if tbucket is None:
-                                        tbucket = ring.pop() if ring else _Bucket()
-                                        buckets[arrival] = tbucket
-                                        wticks.append(arrival)
-                                        if len(wticks) > 1 and arrival < wticks[-2]:
-                                            wticks.sort()
-                                    tlanes = tbucket.lanes
-                                    tnodes = tbucket.nodes
-                                    base = code_base[fc]
-                                    for dst, shifted_in in all_wires:
-                                        tlane = tlanes.get(dst)
-                                        if tlane is None:
-                                            tlane = tlanes[dst] = array("q")
-                                            tnodes.append(dst)
-                                        elif not tlane:
-                                            tnodes.append(dst)
-                                        tlane.append(
-                                            base
-                                            | shifted_in
-                                            | (len(tlane) << SEQ_SHIFT)
-                                        )
-                                    continue
-                                # escape row: the cold path, fill fused in
-                                code = -row - 1
-                                h = ctable[code]
-                                if h is not None:
-                                    h(in_port, code)
-                                    tw_valid[node] = 0
-                                    continue
-                                char = chars[code]
-                            elif code < kn:
-                                # all-escape plane (tokens, KILL/UNMARK,
-                                # dying heads and tails): straight to the
-                                # closure path — no register sync, no row
-                                # read; the escape row would only rediscover
-                                # the kernel fill.  A token flood therefore
-                                # never resyncs the shadow phases at all.
-                                code = kfill[code][in_port]
-                                h = ctable[code]
-                                if h is not None:
-                                    h(in_port, code)
-                                    tw_valid[node] = 0
-                                    continue
-                                char = chars[code]
-                            else:
-                                if code >= n_codes:
-                                    self._grow_code_tables()
-                                    n_codes = len(fill_table)
-                                    handlers = None
-                                char = chars[code]
-                                fills = fill_table[code]
-                                if fills is not None:
-                                    char = fills[in_port]
-                            if handlers is None:
-                                handlers = (
-                                    code_handlers[node]
-                                    or self._node_code_table(node)
-                                )
-                                fallback = proc.handle
-                            handler = handlers[code]
-                            if handler is None:
-                                fallback(in_port, char)
-                            else:
-                                handler(in_port, char)
-                            tw_valid[node] = 0
-                        continue
                     # code-space delivery: fill is one indexed load, the
                     # handler dispatches on the small-int code, and only
                     # codes outside the kernel (lazily interned strays) or
@@ -1004,10 +641,8 @@ class FlatEngine(Engine):
                         else:
                             handler(in_port, char)
                     continue
-                # the object path may move any register (tracer ticks,
-                # parked nodes, handler-less processors): drop the node's
-                # shadow phases and rederive on its next table walk
-                tw_valid[node] = 0
+                # the object path (the parity oracle's semantics): the root,
+                # traced ticks, parked nodes and handler-less processors
                 proc.begin_tick(tick)
                 handlers = code_handlers[node]
                 if handlers is None:
@@ -1074,25 +709,6 @@ class FlatEngine(Engine):
         raise SimulationError(
             f"node {node} emitted {char} through unconnected out-port {out_port}"
         )
-
-    def _emit(self, wire, node: int, out_port: int, char: Char) -> None:
-        """Slow-path emission over an explicit wire (dynamic added wires).
-
-        Mirrors :meth:`Engine._emit` but counts the emission per code, so
-        the ``delivered = emitted - in_flight`` flush arithmetic covers
-        every character that can end up in the wheel.
-        """
-        base = self._id_base.get(id(char))
-        if base is None:
-            base = self._wheel.encode_base(char)
-            if (base & CODE_MASK) >= len(self._emitted_by_code):
-                self._grow_code_tables()
-        self._emitted_by_code[base & CODE_MASK] += 1
-        if node == self.root:
-            self.transcript.record_send(self.tick, out_port, char)
-        if self.tracer is not None:
-            self.tracer.record_emission(self.tick, node, out_port, char)
-        self._wheel.schedule(self.tick + 1, wire.dst, wire.in_port, char)
 
     def _make_direct_sink(self, node: int):
         """A send-time scheduler for ``node``'s outgoing characters.
@@ -1419,9 +1035,6 @@ class FlatEngine(Engine):
         the same character instance — a broadcast queues the same object
         once per out-port, so the memo hits on all but the first.
         """
-        if not self._fused_drain:
-            Engine._drain_node(self, node)
-            return
         proc = self.processors[node]
         tick = self.tick
         entries = proc.drain_due(tick)
@@ -1494,42 +1107,3 @@ class FlatEngine(Engine):
                 del wheel._buckets[next_tick]
                 wheel.recycle(bucket)
         self._active.update(node, proc._next_due)
-
-    def _put_on_wire(self, node: int, out_port: int, char: Char) -> None:
-        topo = self._topo
-        slot = node * topo.stride + out_port
-        dst = topo.wire_dst[slot]
-        if dst < 0:
-            if self._blocked_emission(node, out_port, char, dst):
-                return
-        base = self._id_base.get(id(char))
-        if base is None:
-            base = self._wheel.encode_base(char)
-        code = base & CODE_MASK
-        if code >= len(self._emitted_by_code):
-            self._grow_code_tables()
-        self._emitted_by_code[code] += 1
-        if node == self.root:
-            self.transcript.record_send(self.tick, out_port, char)
-        if self.tracer is not None:
-            self.tracer.record_emission(self.tick, node, out_port, char)
-        # inline of PackedEventWheel.schedule with the base already in hand
-        wheel = self._wheel
-        tick = self.tick + 1
-        bucket = wheel._buckets.get(tick)
-        if bucket is None:
-            bucket = wheel._ring.pop() if wheel._ring else _Bucket()
-            wheel._buckets[tick] = bucket
-            ticks = wheel._ticks
-            ticks.append(tick)
-            if len(ticks) > 1 and tick < ticks[-2]:
-                ticks.sort()
-        lane = bucket.lanes.get(dst)
-        if lane is None:
-            lane = bucket.lanes[dst] = array("q")
-            bucket.nodes.append(dst)
-        elif not lane:
-            bucket.nodes.append(dst)
-        lane.append(
-            base | self._in_shift[slot] | (len(lane) << SEQ_SHIFT)
-        )

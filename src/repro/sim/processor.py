@@ -68,16 +68,6 @@ class Processor(ABC):
     #: might purge arbitrary kinds must keep everything purgeable at rest.
     PURGES_ONLY_GROWING = False
 
-    #: Subclasses whose hot transitions are exactly the protocol automaton
-    #: lowered into the character kernel's transition tables (the §2.3.2
-    #: growing relay and §2.3.3 dying stream over the GrowingMarks /
-    #: DyingRelay register file) set this to True; it licenses the
-    #: flat-core backend to walk ``CharKernel.trans_rows`` for this node's
-    #: deliveries, with every non-lowered configuration escaping back to
-    #: the handler path.  A processor with extra register state that the
-    #: phase encoding cannot see must leave it False.
-    TABLE_AUTOMATON = False
-
     def __init__(self) -> None:
         self.ctx: "NodeContext | None" = None
         self._outbox: list[OutboxEntry] = []

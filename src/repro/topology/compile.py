@@ -88,8 +88,8 @@ COMPILER_VERSION = 1
 #: of ``delta``, serialized so a cold process reaches the code-space hot
 #: loop without enumerating the alphabet).  ``char_trans`` — the protocol
 #: automaton's transition program, artifact format v3 — is the newest: a
-#: ``K * (delta + 1) * n_phases(delta)`` row tensor the flat backend's
-#: table-walking stepper executes directly.
+#: ``K * (delta + 1) * n_phases(delta)`` row tensor, machine-checked row by
+#: row against the object path; no Python stepper walks it.
 TABLE_NAMES = (
     "wire_dst",
     "wire_in_port",

@@ -344,6 +344,15 @@ def _fresh_processor(delta: int) -> ProtocolProcessor:
     return proc
 
 
+def _stored_rows(kernel, code: int, in_port: int) -> list[int]:
+    """The ``n_phases(delta)`` rows of ``kernel.char_trans`` for
+    ``(code, in_port)``, read straight from the stored tensor at
+    ``(code * stride + in_port) * P + phase``."""
+    P = n_phases(kernel.delta)
+    base = (code * (kernel.delta + 1) + in_port) * P
+    return list(kernel.char_trans[base : base + P])
+
+
 def _load_phase(proc: ProtocolProcessor, bank: int, phase: int, delta: int) -> None:
     """Put ``proc``'s bank registers into the state ``phase`` encodes."""
     if bank in _BANK_MARKS:
@@ -363,10 +372,9 @@ def _load_phase(proc: ProtocolProcessor, bank: int, phase: int, delta: int) -> N
 
 
 def _read_phase(proc: ProtocolProcessor, bank: int, delta: int) -> int:
-    """The phase a flat engine would re-derive from ``proc``'s registers.
-
-    The same mapping as ``FlatEngine._tw_sync`` — recomputed here from
-    first principles so the test does not trust the code under test.
+    """The phase ``proc``'s registers encode, per the module-level phase
+    encoding in :mod:`repro.sim.characters` — derived here from first
+    principles so the test does not trust the code under test.
     """
     if bank in _BANK_MARKS:
         if bank == 1 and proc.rca_phase:
@@ -388,7 +396,7 @@ class TestTransitionTableParity:
     """Every non-escape transition row, checked against the object path.
 
     For each ``(code, in_port, phase)`` the row is *executed twice*: once
-    by decoding it the way the flat-core stepper does, once by loading a
+    by decoding its op / phase / port / code fields, once by loading a
     fresh :class:`ProtocolProcessor`'s registers with the state the phase
     encodes and delivering the character through the object-path
     ``handle``.  Emissions (ports, characters, departure ticks) and the
@@ -403,10 +411,12 @@ class TestTransitionTableParity:
                   TRANS_OP_SEND: 0, 0: 0}
         out_ports = tuple(range(1, delta + 1))
         for code in range(kernel.n_codes):
-            bank = kernel.bank_list[code]
+            # non-snake codes (family -1) have all-escape planes, so their
+            # bank is never read
+            bank = kernel.char_family[code]
             for in_port in range(1, delta + 1):
                 fc = kernel.fill_rows[code][in_port]
-                for phase, row in enumerate(kernel.trans_rows[code][in_port]):
+                for phase, row in enumerate(_stored_rows(kernel, code, in_port)):
                     if row < 0:
                         # escape rows carry the fused fill-in so the cold
                         # path never consults the fill table again
@@ -451,7 +461,7 @@ class TestTransitionTableParity:
         assert min(driven.values()) > 0, driven
 
     def test_escape_lane_coverage(self, delta):
-        """Exactly the configurations the stepper cannot own escape."""
+        """Exactly the configurations the rows cannot express escape."""
         kernel = kernel_for(delta)
         P = n_phases(delta)
         esc = growing_esc_phase(delta)
@@ -459,7 +469,7 @@ class TestTransitionTableParity:
         for code in range(kernel.n_codes):
             fam = kernel.char_family[code]
             for in_port in range(delta + 1):
-                rows = kernel.trans_rows[code][in_port]
+                rows = _stored_rows(kernel, code, in_port)
                 assert len(rows) == P
                 escapes += sum(1 for r in rows if r < 0)
                 if fam < 0:
@@ -492,21 +502,6 @@ class TestTransitionTableParity:
                         )
                         assert (rows[phase] >= 0) == lowered, (code, phase)
         assert escapes > 0
-
-    def test_walkable_bitmap_matches_a_full_table_scan(self, delta):
-        """``trans_walkable`` (set while the rows are written) is exactly
-        "this code's plane holds at least one non-escape row" — the
-        stepper uses it to route all-escape codes straight to the closure
-        dispatch, so a mismatch would either skip lowered rows or walk
-        planes that cannot pay off."""
-        kernel = kernel_for(delta)
-        for code in range(kernel.n_codes):
-            scanned = any(
-                row >= 0
-                for in_port in range(delta + 1)
-                for row in kernel.trans_rows[code][in_port]
-            )
-            assert bool(kernel.trans_walkable[code]) == scanned, code
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,23 @@
 """The omniscient tracer and the space-time renderer."""
 
+from collections import Counter
+
+import pytest
+
+from repro.protocol.gtd import GTDProcessor
 from repro.protocol.rca import ScriptedRCADriver
 from repro.sim.characters import Char, make_head
 from repro.sim.engine import Engine
+from repro.sim.flatcore import FlatEngine
 from repro.sim.tracer import EventTrace
 from repro.topology import generators
 from repro.viz.spacetime import render_spacetime
 
 
-def traced_rca(n: int = 6, keep=None):
+def traced_rca(n: int = 6, keep=None, engine_cls=Engine):
     graph = generators.bidirectional_line(n)
     procs = [ScriptedRCADriver() for _ in graph.nodes()]
-    engine = Engine(graph, list(procs), root=0)
+    engine = engine_cls(graph, list(procs), root=0)
     engine.tracer = EventTrace(keep=keep)
     engine.start()
     procs[n - 1].begin_tick(0)
@@ -65,6 +71,68 @@ class TestEventTrace:
         procs = [ScriptedRCADriver() for _ in graph.nodes()]
         engine = Engine(graph, list(procs), root=0)
         assert engine.tracer is None  # zero cost unless attached
+
+
+def gtd_run(engine_cls, *, tracer=None, attach_at=None):
+    """One full GTD run on de Bruijn(2,3); returns the engine afterwards.
+
+    ``tracer`` is attached before the start, or — with ``attach_at`` — at
+    the first event boundary at or after that tick.
+    """
+    graph = generators.de_bruijn(2, 3)
+    procs = [GTDProcessor() for _ in graph.nodes()]
+    engine = engine_cls(graph, list(procs), root=0)
+    if attach_at is None:
+        engine.tracer = tracer
+        engine.run(max_ticks=100_000, until=lambda: procs[0].terminal)
+    else:
+        engine.run(max_ticks=attach_at, until=lambda: engine.tick >= attach_at)
+        engine.tracer = tracer
+        engine.run(
+            max_ticks=100_000, until=lambda: procs[0].terminal, start=False
+        )
+    engine.run_to_idle(max_ticks=200_000)
+    return engine
+
+
+def transcript_bytes(engine) -> bytes:
+    return "\n".join(repr(e) for e in engine.transcript.events()).encode()
+
+
+def per_tick_multiset(trace: EventTrace) -> Counter:
+    """Every recorded event, keyed by tick: order within a tick is free."""
+    return Counter(
+        (e.tick, e.kind, e.node, e.port, e.char) for e in trace.events()
+    )
+
+
+class TestFlatTracer:
+    """The flat backend's traced path records what the object oracle does."""
+
+    def test_scripted_rca_matches_object_engine(self):
+        obj, _ = traced_rca()
+        flat, _ = traced_rca(engine_cls=FlatEngine)
+        assert len(flat.tracer) > 0
+        assert per_tick_multiset(flat.tracer) == per_tick_multiset(obj.tracer)
+        assert flat.tick == obj.tick
+
+    def test_gtd_run_matches_object_engine(self):
+        obj = gtd_run(Engine, tracer=EventTrace())
+        flat = gtd_run(FlatEngine, tracer=EventTrace())
+        assert flat.tracer.dropped == obj.tracer.dropped == 0
+        kinds = {e.kind for e in flat.tracer.events()}
+        assert kinds == {"deliver", "emit"}
+        assert per_tick_multiset(flat.tracer) == per_tick_multiset(obj.tracer)
+        assert transcript_bytes(flat) == transcript_bytes(obj)
+
+    @pytest.mark.parametrize("attach_at", [1, 200, 1000])
+    def test_mid_run_attach_keeps_the_transcript(self, attach_at):
+        untraced = gtd_run(FlatEngine)
+        traced = gtd_run(FlatEngine, tracer=EventTrace(), attach_at=attach_at)
+        # the trace covers only the run after the attach point
+        assert min(e.tick for e in traced.tracer.events()) >= attach_at
+        assert traced.tick == untraced.tick
+        assert transcript_bytes(traced) == transcript_bytes(untraced)
 
 
 class TestSpacetime:

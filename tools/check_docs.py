@@ -118,9 +118,6 @@ _CLAIMS = [
     ("BENCH_kernel.json", "code_space_hops_per_second", lambda v: f"{v / 1e3:.0f}k"),
     ("BENCH_kernel.json", "object_path_hops_per_second", lambda v: f"{v / 1e3:.0f}k"),
     ("BENCH_kernel.json", "code_space_speedup", lambda v: f"{v:.2f}×"),
-    ("BENCH_vec.json", "table_walk_hops_per_second", lambda v: f"{v / 1e3:.0f}k"),
-    ("BENCH_vec.json", "closure_hops_per_second", lambda v: f"{v / 1e3:.0f}k"),
-    ("BENCH_vec.json", "table_walk_speedup", lambda v: f"{v:.2f}×"),
     ("BENCH_artifacts.json", "full_cold_start_ms", lambda v: f"{v:.1f} ms"),
     ("BENCH_artifacts.json", "full_warm_start_ms", lambda v: f"{v:.1f} ms"),
     ("BENCH_artifacts.json", "full_cold_start_speedup", lambda v: f"{v:.1f}×"),
