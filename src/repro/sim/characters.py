@@ -460,8 +460,9 @@ def clear_interner_cache() -> None:
 # of Lemma 5.2, so it can be lowered once into dense ``array('q')`` tables
 # indexed by character code.  The flat-core backend then answers every
 # character question with one indexed load instead of inspecting a
-# :class:`Char` object, and the tables ride the compiled-topology artifact
-# (format v2) through the same zero-copy mmap path as the wire tables.
+# :class:`Char` object.  The tables depend on ``delta`` alone, never on the
+# wiring, so they are built once per process per degree bound
+# (:func:`kernel_for`) and are not part of any topology artifact.
 
 #: Per-code predicate bitmask layout (``char_flags`` table).
 KFLAG_SNAKE = 1 << 0
@@ -518,10 +519,11 @@ def kernel_size(delta: int) -> int:
 # transition into one row ``(code, in_port, phase) -> row`` of the
 # ``char_trans`` tensor; everything a row cannot express (interceptions,
 # head promotion, terminal steps, loop/KILL/UNMARK/DFS tokens) is an
-# *escape* row that defers to the handlers.  The tensor rides artifact
-# format v3 and is proven row by row against the object path; no Python
-# stepper walks it — the flat backend delivers through the code handlers,
-# and the rows are the data a native stepper would execute.
+# *escape* row that defers to the handlers.  The tensor is proven row by
+# row against the object path; no Python stepper walks it — the flat
+# backend delivers through the code handlers, and the rows are the data a
+# native stepper would execute (reading :attr:`CharKernel.char_trans` in
+# process through the buffer protocol).
 #
 # Phase encoding, per snake family bank (six banks per node, indexed by
 # the :data:`SNAKE_FAMILIES` family index):
@@ -583,16 +585,16 @@ def dying_phase(delta: int, pred: int, succ: int, promote: int) -> int:
 class CharKernel:
     """Dense int64 lookup tables over the closed character code space.
 
-    Built once per ``delta`` and shared process-wide (:func:`kernel_for`).
-    The eight ``array('q')`` tables are the serializable compile-time
-    product (they ride topology artifacts); the plain-list mirrors and the
-    derived constructor tables exist because CPython indexes a ``list``
-    faster than an ``array`` in the hot loop.  ``char_trans`` has no
-    mirror: the transition program is stored and machine-checked, but no
-    Python stepper walks it.
+    Built once per ``delta`` and shared process-wide (:func:`kernel_for`);
+    nothing about it depends on the wiring, so it is never stored with a
+    topology.  The eight ``array('q')`` tables are the canonical product;
+    the plain-list tables beside them (``role_list``, ``prio_list``,
+    ``fill_rows``, …) exist because CPython indexes a ``list`` faster than
+    an ``array`` in the hot loop.  ``char_trans`` has no list form: the
+    transition program is machine-checked, but no Python stepper walks it.
 
-    Serialized tables (``K = kernel_size(delta)`` codes,
-    ``P = n_phases(delta)`` phases):
+    Tables (``K = kernel_size(delta)`` codes, ``P = n_phases(delta)``
+    phases):
 
     ``char_flags``     ``K``          predicate bitmask + priority bits
     ``char_family``    ``K``          index into :data:`SNAKE_FAMILIES`, -1
@@ -602,7 +604,7 @@ class CharKernel:
     ``char_fill``      ``K*(delta+1)``  ``(code, in_port) -> code`` fill-in
     ``char_convert``   ``K*6``        ``(code, family index) -> code``, -1
     ``char_trans``     ``K*(delta+1)*P``  ``(code, in_port, phase) -> row``
-                       (the transition program; new in artifact format v3)
+                       (the transition program)
 
     The fill table mirrors the *engine's* fill semantics (growing snakes
     and DFS only — dying characters are delivered verbatim, matching
@@ -625,13 +627,9 @@ class CharKernel:
         "char_fill",
         "char_convert",
         "char_trans",
-        "flags_list",
-        "family_list",
         "role_list",
         "prio_list",
-        "fill_list",
         "fill_rows",
-        "convert_list",
         "as_head_list",
         "body_codes",
         "handler_plan",
@@ -716,17 +714,13 @@ class CharKernel:
         self.char_fill = array("q", fill)
         self.char_convert = array("q", conv)
         # hot-loop mirrors: CPython list indexing beats array indexing
-        self.flags_list = flags
-        self.family_list = family
         self.role_list = role
         self.prio_list = [f >> KPRIO_SHIFT & KPRIO_MASK for f in flags]
-        self.fill_list = fill
         #: the fill table re-sliced per code — two list indexings beat the
         #: flat table's multiply-and-add in the delivery loop
         self.fill_rows = [
             fill[c * (delta + 1) : (c + 1) * (delta + 1)] for c in range(n)
         ]
-        self.convert_list = conv
         #: body code -> the same-family head at the same ports (-1 elsewhere);
         #: the dying-relay promotion (head eaten, next body crowned) in one load.
         self.as_head_list = [
@@ -821,19 +815,6 @@ class CharKernel:
                             | common
                         )
         self.char_trans = array("q", trans)
-
-    def tables(self) -> tuple[array, ...]:
-        """The eight serializable tables, in artifact format-v3 order."""
-        return (
-            self.char_flags,
-            self.char_family,
-            self.char_role,
-            self.char_out_port,
-            self.char_in_port,
-            self.char_fill,
-            self.char_convert,
-            self.char_trans,
-        )
 
 
 #: delta -> the process-wide shared kernel (see :func:`kernel_for`).

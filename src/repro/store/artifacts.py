@@ -84,14 +84,16 @@ LIBRARY_FORMAT = "repro.artifact-library/v1"
 
 #: Human-readable tag of the binary artifact format (documentation and
 #: manifest only; the binary header carries the integer version).
-ARTIFACT_FORMAT = "repro.topology-artifact/v3"
+ARTIFACT_FORMAT = "repro.topology-artifact/v4"
 
 #: Binary format version stamped into (and checked against) every header.
 #: Bump whenever the byte layout changes; old files then fail validation
 #: and are recompiled/republished (``gc`` removes them).  v2 appended the
 #: seven character-kernel tables and the ``kernel_codes`` dimension; v3
-#: appended ``char_trans``, the automaton's transition-row tensor.
-ARTIFACT_FORMAT_VERSION = 3
+#: appended ``char_trans``, the automaton's transition-row tensor; v4 drops
+#: all eight kernel tables and the census/``kernel_codes`` fields again —
+#: the kernel is a function of ``delta`` alone, rebuilt once per process.
+ARTIFACT_FORMAT_VERSION = 4
 
 #: First 8 bytes of every artifact file.
 ARTIFACT_MAGIC = b"RPROTOPO"
@@ -102,48 +104,13 @@ ARTIFACT_SUFFIX = ".rtopo"
 #: Hex chars of the key used as the fan-out subdirectory (256 buckets).
 _SHARD_PREFIX = 2
 
-#: Header layout, little-endian (176 bytes; see docs/FORMATS.md):
+#: Header layout, little-endian (96 bytes; see docs/FORMATS.md):
 #: magic, format version, compiler version, num_nodes, delta, stride,
-#: alphabet census (interned-alphabet size for this delta), kernel code
-#: count, fourteen table lengths in int64 elements, payload crc32,
-#: header crc32.
-_HEADER = struct.Struct("<8sII5Q14QII")
+#: six table lengths in int64 elements, payload crc32, header crc32.
+_HEADER = struct.Struct("<8sII3Q6QII")
 
-#: Table order inside the payload (and of the fourteen length fields).
+#: Table order inside the payload (and of the six length fields).
 _TABLES = TABLE_NAMES
-
-
-def _census(delta: int) -> int:
-    """The interned-alphabet census recorded next to the tables.
-
-    The flat engines pair every compiled topology with the shared
-    :func:`~repro.sim.characters.interner_for` alphabet; recording the
-    census (the constant-alphabet size for ``delta``) lets a loader
-    cross-check that the artifact was produced against the same alphabet
-    enumeration this process would build.
-    """
-    from repro.sim.characters import alphabet_size
-
-    return alphabet_size(delta)
-
-
-def _kernel_codes(delta: int) -> int:
-    """The character-kernel code-space size recorded in the header.
-
-    Like the census, a pure function of ``delta`` — the loader
-    cross-checks it so a kernel-alphabet change without a compiler bump
-    is caught before any kernel table is trusted.
-    """
-    from repro.sim.characters import kernel_size
-
-    return kernel_size(delta)
-
-
-def _n_phases(delta: int) -> int:
-    """Transition-table phases per family bank (the v3 row dimension)."""
-    from repro.sim.characters import n_phases
-
-    return n_phases(delta)
 
 
 def _le_bytes(table) -> bytes:
@@ -193,7 +160,7 @@ def artifact_key(graph: PortGraph) -> str:
 def dump_artifact(topo: CompiledTopology) -> bytes:
     """Serialize compiled tables to the artifact binary format.
 
-    Little-endian regardless of host; the payload is the fourteen tables
+    Little-endian regardless of host; the payload is the six tables
     concatenated as raw int64s, the header records their element counts
     and a crc32 of the payload, and the header itself ends with a crc32
     over its own preceding bytes — so truncation or corruption anywhere
@@ -211,8 +178,6 @@ def dump_artifact(topo: CompiledTopology) -> bytes:
         topo.num_nodes,
         topo.delta,
         topo.stride,
-        _census(topo.delta),
-        _kernel_codes(topo.delta),
         *(len(getattr(topo, name)) for name in _TABLES),
         zlib.crc32(payload),
         0,
@@ -231,7 +196,7 @@ def _parse_header(buf, size: int, where: str) -> tuple[list[int], dict[str, int]
         raise ArtifactError(f"{where}: not a topology artifact (bad magic)")
     # The format version lives at a fixed offset in every layout revision,
     # so it is checked *before* the header crc (whose position is
-    # layout-dependent): a v1 file reports a clean version mismatch
+    # layout-dependent): a v1–v3 file reports a clean version mismatch
     # instead of a spurious checksum error.
     if fmt_version != ARTIFACT_FORMAT_VERSION:
         raise ArtifactError(
@@ -244,22 +209,10 @@ def _parse_header(buf, size: int, where: str) -> tuple[list[int], dict[str, int]
         raise ArtifactError(
             f"{where}: compiler version {compiler} != {COMPILER_VERSION}"
         )
-    num_nodes, delta, stride, census, kernel_codes = fields[3:8]
-    lengths = list(fields[8:22])
+    num_nodes, delta, stride = fields[3:6]
+    lengths = list(fields[6:12])
     if delta < 2 or stride != delta + 1 or num_nodes < 1:
         raise ArtifactError(f"{where}: implausible dimensions in header")
-    if census != _census(delta):
-        raise ArtifactError(
-            f"{where}: alphabet census {census} != {_census(delta)} for "
-            f"delta={delta} (alphabet enumeration changed without a "
-            f"compiler version bump)"
-        )
-    if kernel_codes != _kernel_codes(delta):
-        raise ArtifactError(
-            f"{where}: kernel code count {kernel_codes} != "
-            f"{_kernel_codes(delta)} for delta={delta} (kernel alphabet "
-            f"changed without a compiler version bump)"
-        )
     expected = [
         num_nodes * stride,
         num_nodes * stride,
@@ -267,14 +220,6 @@ def _parse_header(buf, size: int, where: str) -> tuple[list[int], dict[str, int]
         lengths[3],
         num_nodes + 1,
         lengths[5],
-        kernel_codes,
-        kernel_codes,
-        kernel_codes,
-        kernel_codes,
-        kernel_codes,
-        kernel_codes * (delta + 1),
-        kernel_codes * 6,
-        kernel_codes * (delta + 1) * _n_phases(delta),
     ]
     if (
         lengths != expected
@@ -287,7 +232,7 @@ def _parse_header(buf, size: int, where: str) -> tuple[list[int], dict[str, int]
             f"{where}: file is {size} bytes, header promises "
             f"{_HEADER.size + 8 * sum(lengths)} (torn write?)"
         )
-    payload_crc = fields[22]
+    payload_crc = fields[12]
     if zlib.crc32(bytes(buf[_HEADER.size:])) != payload_crc:
         raise ArtifactError(f"{where}: payload checksum mismatch")
     return lengths, {"num_nodes": num_nodes, "delta": delta, "stride": stride}
@@ -296,7 +241,7 @@ def _parse_header(buf, size: int, where: str) -> tuple[list[int], dict[str, int]
 def load_artifact(path: str | os.PathLike) -> CompiledTopology:
     """mmap an artifact file into a shared read-only :class:`CompiledTopology`.
 
-    The fourteen tables come back as zero-copy ``memoryview``\\ s cast to
+    The six tables come back as zero-copy ``memoryview``\\ s cast to
     int64 over the mapping, so every process that loads the same file
     shares one physical copy via the page cache; nothing is materialized
     until a dynamic engine :meth:`~CompiledTopology.fork`\\ s the two wire

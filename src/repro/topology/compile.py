@@ -58,7 +58,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 from repro.errors import SimulationError
-from repro.sim.characters import kernel_for
 from repro.topology.portgraph import PortGraph
 
 __all__ = [
@@ -81,15 +80,11 @@ __all__ = [
 #: served with stale semantics.
 COMPILER_VERSION = 1
 
-#: The fourteen dense tables every :class:`CompiledTopology` carries, in
-#: canonical order — the order they are serialized in on disk.  The first
-#: six lower the *wiring*; the last eight lower the *character algebra*
-#: (the :class:`~repro.sim.characters.CharKernel` tables — a pure function
-#: of ``delta``, serialized so a cold process reaches the code-space hot
-#: loop without enumerating the alphabet).  ``char_trans`` — the protocol
-#: automaton's transition program, artifact format v3 — is the newest: a
-#: ``K * (delta + 1) * n_phases(delta)`` row tensor, machine-checked row by
-#: row against the object path; no Python stepper walks it.
+#: The six dense tables every :class:`CompiledTopology` carries, in
+#: canonical order — the order they are serialized in on disk.  They lower
+#: the *wiring* only: the character kernel is a pure function of ``delta``
+#: (:func:`repro.sim.characters.kernel_for`), built once per process per
+#: degree bound and never part of a topology artifact.
 TABLE_NAMES = (
     "wire_dst",
     "wire_in_port",
@@ -97,14 +92,6 @@ TABLE_NAMES = (
     "out_ports",
     "in_start",
     "in_ports",
-    "char_flags",
-    "char_family",
-    "char_role",
-    "char_out_port",
-    "char_in_port",
-    "char_fill",
-    "char_convert",
-    "char_trans",
 )
 
 #: ``wire_dst`` value of an out-port that never carried a wire.  Emitting
@@ -138,16 +125,6 @@ class CompiledTopology:
     out_ports: array           # concatenated connected out-ports, ascending per node
     in_start: array            # CSR offsets into in_ports, length num_nodes + 1
     in_ports: array            # concatenated connected in-ports, ascending per node
-    # Character-kernel tables (format v3; see repro.sim.characters.CharKernel).
-    # ``K = kernel_size(delta)`` codes; never patched, shared by forks as-is.
-    char_flags: array = field(default=None, repr=False)     # K predicate masks
-    char_family: array = field(default=None, repr=False)    # K family indices
-    char_role: array = field(default=None, repr=False)      # K role indices
-    char_out_port: array = field(default=None, repr=False)  # K first entries
-    char_in_port: array = field(default=None, repr=False)   # K second entries
-    char_fill: array = field(default=None, repr=False)      # K*(delta+1) fill map
-    char_convert: array = field(default=None, repr=False)   # K*6 convert map
-    char_trans: array = field(default=None, repr=False)     # K*(delta+1)*P rows
     #: the shared artifact this view was forked from (``None`` on originals).
     #: A fork's pristine tables double as the patcher's undo record.
     pristine: "CompiledTopology | None" = field(default=None, repr=False)
@@ -309,7 +286,6 @@ def compile_topology(graph: PortGraph) -> CompiledTopology:
         out_start[node + 1] = len(out_ports)
         in_start[node + 1] = len(in_ports)
 
-    kernel = kernel_for(delta)
     return CompiledTopology(
         num_nodes=n,
         delta=delta,
@@ -320,14 +296,6 @@ def compile_topology(graph: PortGraph) -> CompiledTopology:
         out_ports=out_ports,
         in_start=in_start,
         in_ports=in_ports,
-        char_flags=kernel.char_flags,
-        char_family=kernel.char_family,
-        char_role=kernel.char_role,
-        char_out_port=kernel.char_out_port,
-        char_in_port=kernel.char_in_port,
-        char_fill=kernel.char_fill,
-        char_convert=kernel.char_convert,
-        char_trans=kernel.char_trans,
     )
 
 

@@ -3,14 +3,18 @@
 Covers the tentpole contracts end to end: byte-identical round trips
 (compile → publish → mmap-load → identical tables *and* identical
 protocol transcripts), torn/truncated-file recovery, version-mismatch
-rejection, concurrent publisher races, copy-on-write forking over
+rejection, the migration of libraries written in the retired v1–v3
+layouts, concurrent publisher races, copy-on-write forking over
 read-only mappings, GC, the campaign/CLI threading, and the cold-start
 guarantee itself — a fresh subprocess with a warm library reaches its
-first simulation hop with zero compiler invocations.
+first simulation hop with zero compiler invocations.  Artifacts carry the
+wiring only: compiling, publishing and loading never builds a character
+kernel.
 """
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import struct
@@ -28,8 +32,11 @@ from repro.campaigns.spec import build_family
 from repro.cli import main
 from repro.errors import SimulationError, StoreError
 from repro.protocol.runner import determine_topology
+from repro.sim import characters
 from repro.store.artifacts import (
     ARTIFACT_FORMAT_VERSION,
+    ARTIFACT_MAGIC,
+    _HEADER,
     ArtifactError,
     ArtifactLibrary,
     artifact_key,
@@ -38,6 +45,7 @@ from repro.store.artifacts import (
     load_artifact,
 )
 from repro.topology.compile import (
+    COMPILER_VERSION,
     TABLE_NAMES,
     TopologyPatcher,
     clear_compiled_cache,
@@ -189,7 +197,7 @@ class TestValidation:
     def test_flipped_header_byte_rejected_by_checksum(self, library):
         path = self._published(library)
         blob = bytearray(path.read_bytes())
-        blob[12] ^= 0xFF  # inside the dimension fields
+        blob[12] ^= 0xFF  # inside the compiler-version field
         path.write_bytes(bytes(blob))
         with pytest.raises(ArtifactError, match="header checksum"):
             load_artifact(path)
@@ -200,7 +208,7 @@ class TestValidation:
         path = self._published(library)
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, 8, ARTIFACT_FORMAT_VERSION + 1)
-        head_size = struct.calcsize("<8sII5Q13QII")
+        head_size = _HEADER.size
         struct.pack_into(
             "<I", blob, head_size - 4, zlib.crc32(bytes(blob[: head_size - 4]))
         )
@@ -231,6 +239,164 @@ class TestValidation:
         topo = compile_topology(_graph("directed-ring", 5))
         with pytest.raises(ArtifactError, match="fork"):
             dump_artifact(topo.fork())
+
+
+# ----------------------------------------------------------------------
+# the artifact is the wiring only
+# ----------------------------------------------------------------------
+class TestWiringOnly:
+    def test_compile_publish_load_builds_no_kernel(self, library):
+        graph = _graph()
+        characters.clear_interner_cache()
+        topo = compile_topology(graph)
+        library.publish(graph, topo)
+        assert library.load(graph) is not None
+        assert characters._KERNELS == {}
+
+    def test_header_and_six_wiring_tables(self, library):
+        graph = _graph()
+        key, _ = library.ensure(graph)
+        topo = compile_topology(graph)
+        assert _HEADER.size == 96
+        assert len(TABLE_NAMES) == 6
+        payload = 8 * sum(len(getattr(topo, name)) for name in TABLE_NAMES)
+        assert library.path_for(key).stat().st_size == 96 + payload
+
+
+# ----------------------------------------------------------------------
+# migration from the retired layouts
+# ----------------------------------------------------------------------
+#: The six wiring tables every layout starts with, then the kernel tables
+#: v2 appended and the transition tensor v3 appended — written out here so
+#: the test does not trust the code under test.
+_WIRING = ("wire_dst", "wire_in_port", "out_start", "out_ports", "in_start", "in_ports")
+_KERNEL_V2 = (
+    "char_flags",
+    "char_family",
+    "char_role",
+    "char_out_port",
+    "char_in_port",
+    "char_fill",
+    "char_convert",
+)
+
+#: version -> (header struct, table names in payload order)
+_RETIRED = {
+    1: (struct.Struct("<8sII4Q6QII"), _WIRING),
+    2: (struct.Struct("<8sII5Q13QII"), _WIRING + _KERNEL_V2),
+    3: (struct.Struct("<8sII5Q14QII"), _WIRING + _KERNEL_V2 + ("char_trans",)),
+}
+
+
+def _le_bytes(table) -> bytes:
+    data = array("q", table)
+    if sys.byteorder != "little":  # pragma: no cover
+        data.byteswap()
+    return data.tobytes()
+
+
+def _retired_key(graph, version: int) -> str:
+    """The content address a format-``version`` library computed."""
+    h = hashlib.sha256()
+    h.update(ARTIFACT_MAGIC)
+    h.update(_le_bytes([version, COMPILER_VERSION, graph.num_nodes, graph.delta]))
+    wires = array("q")
+    for wire in sorted(graph.wires()):
+        wires.extend(wire)
+    h.update(_le_bytes(wires))
+    return h.hexdigest()
+
+
+def _dump_retired(graph, version: int) -> bytes:
+    """Serialize ``graph`` in the retired format-``version`` layout."""
+    header, names = _RETIRED[version]
+    topo = compile_topology(graph)
+    kernel = characters.kernel_for(graph.delta)
+    tables = [getattr(topo if name in _WIRING else kernel, name) for name in names]
+    payload = b"".join(_le_bytes(t) for t in tables)
+    census = characters.alphabet_size(graph.delta)
+    # v1 recorded the census without the blank; v2/v3 added the kernel size
+    if version == 1:
+        dims = [census - 1]
+    else:
+        dims = [census, characters.kernel_size(graph.delta)]
+    head = header.pack(
+        ARTIFACT_MAGIC,
+        version,
+        COMPILER_VERSION,
+        topo.num_nodes,
+        topo.delta,
+        topo.stride,
+        *dims,
+        *(len(t) for t in tables),
+        zlib.crc32(payload),
+        0,
+    )
+    head = head[:-4] + struct.pack("<I", zlib.crc32(head[:-4]))
+    return head + payload
+
+
+@pytest.mark.parametrize("version", sorted(_RETIRED), ids=lambda v: f"v{v}")
+class TestRetiredFormats:
+    """A library written by an older release heals on first use."""
+
+    def _library_with(self, library, version):
+        graph = _graph()
+        old_path = library.path_for(_retired_key(graph, version))
+        old_path.parent.mkdir(parents=True, exist_ok=True)
+        old_path.write_bytes(_dump_retired(graph, version))
+        return graph, old_path
+
+    def test_old_file_is_a_clean_miss(self, library, version):
+        graph, _ = self._library_with(library, version)
+        # the format version joins the content address, so the old file is
+        # simply not found under the current key — a miss, not a failure
+        assert artifact_key(graph) != _retired_key(graph, version)
+        assert library.load(graph) is None
+        assert library.load_failures == 0
+
+    def test_old_bytes_at_current_key_fail_on_version(self, library, version):
+        # the version is checked before the layout-dependent header crc
+        graph, old_path = self._library_with(library, version)
+        path = library.path_for(artifact_key(graph))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(old_path.read_bytes())
+        assert library.load(graph) is None
+        assert library.load_failures == 1
+        with pytest.raises(ArtifactError, match=f"format version {version} "):
+            load_artifact(path)
+
+    def test_republish_heals_and_warm_loads_skip_the_compiler(
+        self, library, version
+    ):
+        graph, _ = self._library_with(library, version)
+        key, published = library.ensure(graph)
+        assert published
+        assert key == artifact_key(graph)
+        clear_compiled_cache()
+        configure_artifact_library(library)
+        before = compile_calls()
+        topo = compiled_topology(graph)
+        assert compile_calls() == before
+        assert isinstance(topo.wire_dst, memoryview)
+
+    def test_cli_verify_names_the_version(self, library, version, capsys):
+        graph, _ = self._library_with(library, version)
+        library.ensure(graph)
+        code = main(["store", str(library.root), "--artifacts", "--verify"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "INVALID" in out
+        assert f"format version {version} " in out
+        assert "verify: 1 invalid artifact(s)" in out
+
+    def test_gc_removes_the_old_file_keeps_current(self, library, version):
+        graph, old_path = self._library_with(library, version)
+        library.ensure(graph)
+        removed = library.gc()
+        assert [e.path for e in removed] == [old_path]
+        assert not old_path.exists()
+        assert library.load(graph) is not None
 
 
 # ----------------------------------------------------------------------

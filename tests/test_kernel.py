@@ -5,26 +5,21 @@ character functions they replace: every code of the Lemma 5.2 census
 (plus the filled-tail closure), every in-port of the fill table, every
 family column of the convert table, every predicate bit — checked against
 ``is_snake``/``is_growing``/``is_dying``/``snake_family``/``snake_role``/
-``fill_in_port``/``convert``/``speed_of`` directly.  Also pins the
-externally visible automaton phase labels (now IntEnum-backed) and the
-format-v1 → v2 artifact-library migration story.
+``fill_in_port``/``convert``/``speed_of`` directly — and every row of the
+``char_trans`` transition program, executed against the object-path
+automaton.  Also pins the externally visible automaton phase labels
+(IntEnum-backed).  The kernel is a per-process function of ``delta``; the
+artifact-library migration of the retired kernel-carrying formats lives
+in ``tests/test_artifacts.py``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
-import sys
-import zlib
-from array import array
-
 import pytest
 
-from repro.campaigns.spec import build_family
 from repro.protocol.automaton import ProtocolProcessor, _BcaPhase, _RcaPhase, _RootPhase
 from repro.sim.engine import NodeContext
 from repro.sim.characters import (
-    DYING_FAMILIES,
     GROWING_FAMILIES,
     KFLAG_BODY,
     KFLAG_DYING,
@@ -71,19 +66,6 @@ from repro.sim.characters import (
     speed_of,
 )
 from repro.sim.scheduler import KIND_PRIORITY
-from repro.store.artifacts import (
-    ARTIFACT_MAGIC,
-    ArtifactLibrary,
-    artifact_key,
-    configure_artifact_library,
-)
-from repro.topology.compile import (
-    COMPILER_VERSION,
-    TABLE_NAMES,
-    clear_compiled_cache,
-    compile_calls,
-    compile_topology,
-)
 
 DELTAS = (2, 3)
 
@@ -308,9 +290,18 @@ class TestKernelParity:
                 assert body.in_port == STAR
 
     def test_tables_roundtrip_to_kernel_alphabet(self, delta):
-        # the serialized tuple is exactly the eight artifact tables
+        # the eight named tables are sized by the closed code space
         kernel = kernel_for(delta)
-        tables = kernel.tables()
+        tables = (
+            kernel.char_flags,
+            kernel.char_family,
+            kernel.char_role,
+            kernel.char_out_port,
+            kernel.char_in_port,
+            kernel.char_fill,
+            kernel.char_convert,
+            kernel.char_trans,
+        )
         assert [len(t) for t in tables] == [
             kernel.n_codes,
             kernel.n_codes,
@@ -502,236 +493,3 @@ class TestTransitionTableParity:
                         )
                         assert (rows[phase] >= 0) == lowered, (code, phase)
         assert escapes > 0
-
-
-# ----------------------------------------------------------------------
-# satellite: v1 → v2 artifact-library migration
-# ----------------------------------------------------------------------
-_V1_HEADER = struct.Struct("<8sII4Q6QII")
-
-
-def _le_bytes(table) -> bytes:
-    data = array("q", table)
-    if sys.byteorder != "little":  # pragma: no cover
-        data = array("q", data)
-        data.byteswap()
-    return data.tobytes()
-
-
-def _v1_key(graph) -> str:
-    """The content address a format-v1 library computed for ``graph``."""
-    h = hashlib.sha256()
-    h.update(ARTIFACT_MAGIC)
-    h.update(_le_bytes([1, COMPILER_VERSION, graph.num_nodes, graph.delta]))
-    wires = array("q")
-    for wire in sorted(graph.wires()):
-        wires.extend(wire)
-    h.update(_le_bytes(wires))
-    return h.hexdigest()
-
-
-def _dump_v1(topo) -> bytes:
-    """Serialize ``topo`` in the retired six-table v1 layout."""
-    names = TABLE_NAMES[:6]
-    payload = b"".join(_le_bytes(getattr(topo, name)) for name in names)
-    census = alphabet_size(topo.delta) - 1
-    head = _V1_HEADER.pack(
-        ARTIFACT_MAGIC,
-        1,
-        COMPILER_VERSION,
-        topo.num_nodes,
-        topo.delta,
-        topo.stride,
-        census,
-        *(len(getattr(topo, name)) for name in names),
-        zlib.crc32(payload),
-        0,
-    )
-    head = head[:-4] + struct.pack("<I", zlib.crc32(head[:-4]))
-    return head + payload
-
-
-class TestV1Migration:
-    @pytest.fixture(autouse=True)
-    def _cold(self):
-        configure_artifact_library(None)
-        clear_compiled_cache()
-        yield
-        configure_artifact_library(None)
-        clear_compiled_cache()
-
-    def _library_with_v1(self, tmp_path):
-        library = ArtifactLibrary(tmp_path / "artifacts")
-        graph = build_family("de-bruijn", 8, 0)
-        topo = compile_topology(graph)
-        v1_path = library.path_for(_v1_key(graph))
-        v1_path.parent.mkdir(parents=True, exist_ok=True)
-        v1_path.write_bytes(_dump_v1(topo))
-        return library, graph, v1_path
-
-    def test_v1_artifact_is_a_clean_load_miss(self, tmp_path):
-        library, graph, v1_path = self._library_with_v1(tmp_path)
-        # the v2 key differs (format version joins the hash), so the v1
-        # file is simply not found — a miss, not a validation failure
-        assert artifact_key(graph) != _v1_key(graph)
-        assert library.load(graph) is None
-        assert library.load_failures == 0
-
-    def test_v1_bytes_at_v2_key_fail_with_version_not_crc(self, tmp_path):
-        # a tampered/copied file in v1 layout under the v2 key must
-        # report the version mismatch (checked before the layout-dependent
-        # header crc), and count as a miss
-        library, graph, v1_path = self._library_with_v1(tmp_path)
-        v2_path = library.path_for(artifact_key(graph))
-        v2_path.parent.mkdir(parents=True, exist_ok=True)
-        v2_path.write_bytes(v1_path.read_bytes())
-        assert library.load(graph) is None
-        assert library.load_failures == 1
-        bad = [e for e in library.entries(validate=True) if not e.ok]
-        assert any("format version 1" in e.error for e in bad)
-
-    def test_republish_heals_the_library(self, tmp_path):
-        library, graph, _ = self._library_with_v1(tmp_path)
-        key, fresh = library.ensure(graph)
-        assert fresh == 1
-        assert key == artifact_key(graph)
-        topo = library.load(graph)
-        assert topo is not None
-        # the healed artifact carries the kernel tables (format v2)
-        kernel = kernel_for(graph.delta)
-        assert list(topo.char_flags) == list(kernel.char_flags)
-
-    def test_cli_verify_reports_the_v1_file(self, tmp_path, capsys):
-        from repro.cli import main
-
-        library, graph, _ = self._library_with_v1(tmp_path)
-        library.ensure(graph)
-        code = main(["store", str(library.root), "--artifacts", "--verify"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "INVALID" in out
-        assert "format version 1" in out
-        assert "verify: 1 invalid artifact(s)" in out
-
-    def test_gc_reclaims_the_v1_file_keeps_v2(self, tmp_path):
-        library, graph, v1_path = self._library_with_v1(tmp_path)
-        library.ensure(graph)
-        removed = library.gc()
-        assert [e.path for e in removed] == [v1_path]
-        assert not v1_path.exists()
-        assert library.load(graph) is not None
-
-
-# ----------------------------------------------------------------------
-# satellite: v2 → v3 artifact-library migration
-# ----------------------------------------------------------------------
-_V2_HEADER = struct.Struct("<8sII5Q13QII")
-
-
-def _v2_key(graph) -> str:
-    """The content address a format-v2 library computed for ``graph``."""
-    h = hashlib.sha256()
-    h.update(ARTIFACT_MAGIC)
-    h.update(_le_bytes([2, COMPILER_VERSION, graph.num_nodes, graph.delta]))
-    wires = array("q")
-    for wire in sorted(graph.wires()):
-        wires.extend(wire)
-    h.update(_le_bytes(wires))
-    return h.hexdigest()
-
-
-def _dump_v2(topo) -> bytes:
-    """Serialize ``topo`` in the superseded thirteen-table v2 layout."""
-    names = TABLE_NAMES[:13]
-    payload = b"".join(_le_bytes(getattr(topo, name)) for name in names)
-    census = alphabet_size(topo.delta)
-    head = _V2_HEADER.pack(
-        ARTIFACT_MAGIC,
-        2,
-        COMPILER_VERSION,
-        topo.num_nodes,
-        topo.delta,
-        topo.stride,
-        census,
-        kernel_size(topo.delta),
-        *(len(getattr(topo, name)) for name in names),
-        zlib.crc32(payload),
-        0,
-    )
-    head = head[:-4] + struct.pack("<I", zlib.crc32(head[:-4]))
-    return head + payload
-
-
-class TestV2Migration:
-    """v3 (the transition-table format) against a library of v2 files."""
-
-    @pytest.fixture(autouse=True)
-    def _cold(self):
-        configure_artifact_library(None)
-        clear_compiled_cache()
-        yield
-        configure_artifact_library(None)
-        clear_compiled_cache()
-
-    def _library_with_v2(self, tmp_path):
-        library = ArtifactLibrary(tmp_path / "artifacts")
-        graph = build_family("de-bruijn", 8, 0)
-        topo = compile_topology(graph)
-        v2_path = library.path_for(_v2_key(graph))
-        v2_path.parent.mkdir(parents=True, exist_ok=True)
-        v2_path.write_bytes(_dump_v2(topo))
-        return library, graph, v2_path
-
-    def test_v2_artifact_is_a_clean_load_miss(self, tmp_path):
-        library, graph, v2_path = self._library_with_v2(tmp_path)
-        # the format version joins the content address, so the v2 file is
-        # simply not found under the v3 key — a miss, not a failure
-        assert artifact_key(graph) != _v2_key(graph)
-        assert library.load(graph) is None
-        assert library.load_failures == 0
-
-    def test_v2_bytes_at_v3_key_fail_with_version_not_crc(self, tmp_path):
-        library, graph, v2_path = self._library_with_v2(tmp_path)
-        v3_path = library.path_for(artifact_key(graph))
-        v3_path.parent.mkdir(parents=True, exist_ok=True)
-        v3_path.write_bytes(v2_path.read_bytes())
-        assert library.load(graph) is None
-        assert library.load_failures == 1
-        bad = [e for e in library.entries(validate=True) if not e.ok]
-        assert any("format version 2" in e.error for e in bad)
-
-    def test_republish_heals_and_warm_loads_skip_the_compiler(self, tmp_path):
-        library, graph, _ = self._library_with_v2(tmp_path)
-        key, fresh = library.ensure(graph)
-        assert fresh == 1
-        assert key == artifact_key(graph)
-        # a cold process over the healed library never compiles: the v3
-        # artifact carries the full transition program
-        clear_compiled_cache()
-        before = compile_calls()
-        topo = library.load(graph)
-        assert topo is not None
-        assert compile_calls() == before
-        kernel = kernel_for(graph.delta)
-        assert list(topo.char_trans) == list(kernel.char_trans)
-
-    def test_cli_verify_names_the_version_mismatch(self, tmp_path, capsys):
-        from repro.cli import main
-
-        library, graph, v2_path = self._library_with_v2(tmp_path)
-        v3_path = library.path_for(artifact_key(graph))
-        v3_path.parent.mkdir(parents=True, exist_ok=True)
-        v3_path.write_bytes(v2_path.read_bytes())
-        code = main(["store", str(library.root), "--artifacts", "--verify"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "INVALID" in out
-        assert "format version 2" in out
-
-    def test_gc_reclaims_the_stale_v2_blob(self, tmp_path):
-        library, graph, v2_path = self._library_with_v2(tmp_path)
-        library.ensure(graph)
-        removed = library.gc()
-        assert [e.path for e in removed] == [v2_path]
-        assert not v2_path.exists()
-        assert library.load(graph) is not None
