@@ -18,11 +18,15 @@ determinism test asserts exactly that equality.
 of its spec, all expensive setup artifacts are computed once per key and
 reused, per worker process:
 
-* the family :class:`~repro.topology.portgraph.PortGraph` is memoized per
-  ``(family, size, seed)``;
-* the *healthy* protocol run — previously re-measured as the baseline of
-  every dynamic cell, and run again in full for every ``none`` cell — is
-  memoized per ``(family, size, seed, backend)`` and shared by both;
+* the family :class:`~repro.topology.portgraph.PortGraph` is memoized by
+  wiring: per ``(family, size, seed)`` for the families whose builder
+  reads the seed (:data:`~repro.campaigns.spec.SEEDED_FAMILIES`), per
+  ``(family, size)`` for every other one;
+* every static run is memoized by value on ``(graph, backend)`` as its
+  scenario-free reduction (outcome, counts, per-family traffic, RCA
+  episodes — never the transcript): ``none`` cells, shutdown cells (keyed
+  by their degraded graph) and every dynamic cell's baseline read it, and
+  each cell attaches its own scenario to the shared value;
 * every dynamic run is memoized by value on ``(graph, effective wire ops,
   tick budget, backend)``: the processors are identical, synchronous and
   deterministic, so cells that lower to the same run — ops landing after
@@ -38,15 +42,17 @@ size) survives across ``run_campaign`` invocations, so sweep drivers that
 call it in a loop stop paying a fork-and-reimport per call, and the
 per-worker caches above stay warm between invocations.  Dispatch is
 **chunked**: pending scenarios are grouped by their setup key
-``(family, size, seed, backend)`` and a whole group travels in one pickle
-round-trip, which both amortizes IPC and guarantees every cell sharing a
-baseline lands on the worker that already computed it.  None of this is
-observable in the results — ``jobs=1`` and ``jobs=N`` stay value-identical
-and stores resume byte-identically; :func:`run_scenario` with
-``fresh=True`` bypasses the per-worker memos and the engine pool, and
-:func:`clear_scenario_caches` additionally drops the process-wide
-compiled-topology/interner caches (the benchmark's pre-cache reference
-path clears + runs fresh; the cache-correctness tests rely on both).
+``(family, size, seed, backend)``, consecutive groups are packed into
+chunks of at most 64 cells, and a chunk travels in one pickle round-trip
+and commits to the store in one write — which amortizes IPC and ``fsync``
+and guarantees every cell sharing a baseline lands on the worker that
+already computed it.  None of this is observable in the results —
+``jobs=1`` and ``jobs=N`` stay value-identical and stores resume
+byte-identically; :func:`run_scenario` with ``fresh=True`` bypasses the
+per-worker memos and the engine pool, and :func:`clear_scenario_caches`
+additionally drops the process-wide compiled-topology/interner caches
+(the benchmark's pre-cache reference path clears + runs fresh; the
+cache-correctness tests rely on both).
 
 Aggregation reuses the shapes of :mod:`repro.analysis.run_stats`: per-RCA
 episodes are extracted from each root transcript inside the worker, and
@@ -67,9 +73,9 @@ import time
 import traceback
 import zlib
 from collections import Counter, deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.analysis.run_stats import (
     CampaignStats,
@@ -80,6 +86,7 @@ from repro.analysis.run_stats import (
 )
 from repro.campaigns.faultinject import CorruptResultInjected, maybe_inject
 from repro.campaigns.spec import (
+    SEEDED_FAMILIES,
     CampaignSpec,
     FaultModel,
     Scenario,
@@ -94,7 +101,7 @@ from repro.errors import (
     TickBudgetExceeded,
     TranscriptError,
 )
-from repro.protocol.runner import TopologyResult, determine_topology
+from repro.protocol.runner import determine_topology
 from repro.sim.characters import clear_interner_cache, kernel_for
 from repro.sim.run import EnginePool
 from repro.topology.compile import clear_compiled_cache
@@ -177,14 +184,14 @@ def run_scenario(scenario: Scenario, *, fresh: bool = False) -> ScenarioResult:
     legal graph) reports outcome ``"infeasible"`` instead of aborting the
     rest of the matrix.
 
-    ``fresh=True`` bypasses every per-worker cache (graph memo, healthy-run
-    memo, engine pool) and rebuilds that setup from scratch — the pre-cache
-    execution path.  (The process-wide compiled-topology/interner caches
-    are shared state, not per-scenario setup; a caller that wants those
-    cold too — the campaign benchmark's reference loop — calls
-    :func:`clear_scenario_caches` first.)  The result is value-identical
-    either way: the cache layer is pure reuse, enforced by test and
-    asserted inside the campaign benchmark.
+    ``fresh=True`` bypasses every per-worker cache (graph memo, static and
+    dynamic run memos, engine pool) and rebuilds that setup from scratch —
+    the pre-cache execution path.  (The process-wide compiled-topology/
+    interner caches are shared state, not per-scenario setup; a caller
+    that wants those cold too — the campaign benchmark's reference loop —
+    calls :func:`clear_scenario_caches` first.)  The result is
+    value-identical either way: the cache layer is pure reuse, enforced
+    by test and asserted inside the campaign benchmark.
     """
     fault = scenario.fault_model()
     graph = (
@@ -244,36 +251,25 @@ def _derive_seed(scenario: Scenario, purpose: str) -> int:
     return zlib.crc32(key.encode()) & 0x7FFFFFFF
 
 
-@lru_cache(maxsize=64)
+def _wiring_key(family: str, size: int, seed: int) -> tuple[str, int, int]:
+    """``(family, size, seed)`` with the seed normalized to 0 wherever the
+    family's builder ignores it (every family outside
+    :data:`~repro.campaigns.spec.SEEDED_FAMILIES`)."""
+    return family, size, seed if family in SEEDED_FAMILIES else 0
+
+
 def _family_graph(family: str, size: int, seed: int) -> PortGraph:
-    """The per-worker memo of built (frozen, hence shareable) networks."""
-    return build_family(family, size, seed)
+    """The per-worker memo of built (frozen, hence shareable) networks.
 
-
-def _healthy_run(family: str, size: int, seed: int, backend: str) -> TopologyResult:
-    """The full healthy-network protocol run for a scenario key.
-
-    This is the extension of the old ``_dynamic_baseline`` memo from
-    ``(ticks, diameter)`` to the whole :class:`TopologyResult`: a ``none``
-    static cell *is* the healthy run, so it and every dynamic cell of the
-    same ``(family, size, seed, backend)`` now share one simulation
-    instead of each paying their own.  Per worker process; the value is a
-    pure function of the key, so caching cannot perturb determinism.
-    (Backend parity makes the numbers backend-invariant, but keying on the
-    backend keeps the cache correct by construction.)
-
-    Memoized **by graph value**, not by seed: deterministic families
-    (rings, tori, hypercubes…) build the same network for every seed, and
-    the healthy run is a pure function of the graph — so a seed sweep over
-    such a family pays for one baseline simulation, not one per seed.
+    Keyed by wiring (:func:`_wiring_key`), so a seed sweep over a
+    deterministic family builds one graph per size, not one per seed.
     """
-    graph = _family_graph(family, size, seed)
-    return _healthy_run_for_graph(graph, backend)
+    return _built_graph(*_wiring_key(family, size, seed))
 
 
-@lru_cache(maxsize=32)
-def _healthy_run_for_graph(graph: PortGraph, backend: str) -> TopologyResult:
-    return determine_topology(graph, backend=backend, pool=_ENGINE_POOL)
+@lru_cache(maxsize=64)
+def _built_graph(family: str, size: int, seed: int) -> PortGraph:
+    return build_family(family, size, seed)
 
 
 def _reduce_dynamic(result) -> tuple[str, int, int, int]:
@@ -302,9 +298,19 @@ def _dynamic_run(
     )
 
 
-def _static_result(scenario: Scenario, graph: PortGraph, result) -> ScenarioResult:
+def _static_result(
+    graph: PortGraph, backend: str, pool: EnginePool | None = None
+) -> ScenarioResult:
+    """One static protocol run on ``graph``, reduced to its result fields.
+
+    Everything here is a pure function of the wiring and the backend, so
+    the returned value carries no scenario (``scenario=None``); callers
+    attach theirs with :func:`dataclasses.replace`.  Raises
+    :class:`~repro.errors.TickBudgetExceeded` when the run deadlocks.
+    """
+    result = determine_topology(graph, backend=backend, pool=pool)
     return ScenarioResult(
-        scenario=scenario,
+        scenario=None,  # type: ignore[arg-type]
         outcome="exact" if result.matches(graph) else "mismatch",
         num_nodes=graph.num_nodes,
         num_wires=graph.num_wires,
@@ -319,39 +325,33 @@ def _static_result(scenario: Scenario, graph: PortGraph, result) -> ScenarioResu
     )
 
 
+@lru_cache(maxsize=1024)
+def _static_memo(graph: PortGraph, backend: str) -> ScenarioResult:
+    """The per-worker memo of static reductions, keyed by graph value.
+
+    A ``none`` cell, a shutdown cell (keyed by its degraded graph) and a
+    dynamic cell's baseline all read it, so every seed of a deterministic
+    family shares one simulation *and* one reduction.  Only the reduced
+    fields are kept — never the transcript.  A deadlock raises through
+    and, since ``lru_cache`` never caches an exception, stays uncached.
+    """
+    return _static_result(graph, backend, _ENGINE_POOL)
+
+
+def _static_reduction(
+    graph: PortGraph, backend: str, *, fresh: bool = False
+) -> ScenarioResult:
+    return _static_result(graph, backend) if fresh else _static_memo(graph, backend)
+
+
 def _run_static_scenario(
     scenario: Scenario, graph: PortGraph, *, fresh: bool = False
 ) -> ScenarioResult:
     try:
-        if fresh:
-            result = determine_topology(graph, backend=scenario.backend)
-        elif scenario.fault == "none":
-            # the healthy cell is exactly the shared baseline run
-            result = _healthy_run(
-                scenario.family, scenario.size, scenario.seed, scenario.backend
-            )
-        else:
-            # a degraded (shutdown) network: unique to this cell, but the
-            # engine itself still comes from the per-worker pool
-            result = determine_topology(
-                graph, backend=scenario.backend, pool=_ENGINE_POOL
-            )
+        reduced = _static_reduction(graph, scenario.backend, fresh=fresh)
     except TickBudgetExceeded:
         return _empty_result(scenario, graph, "deadlock")
-    return _static_result(scenario, graph, result)
-
-
-def _dynamic_baseline(
-    scenario: Scenario, graph: PortGraph, *, fresh: bool = False
-) -> tuple[int, int]:
-    """(undisturbed ticks, diameter) for a scenario's healthy network."""
-    if fresh:
-        baseline = determine_topology(graph, backend=scenario.backend)
-    else:
-        baseline = _healthy_run(
-            scenario.family, scenario.size, scenario.seed, scenario.backend
-        )
-    return baseline.ticks, baseline.diameter
+    return replace(reduced, scenario=scenario)
 
 
 def _run_dynamic_scenario(
@@ -367,7 +367,8 @@ def _run_dynamic_scenario(
     per-cell labels are added here: a timeline cell reports its hops and
     the phase it ended in, a legacy cut/add cell reports neither.
     """
-    baseline_ticks, diam = _dynamic_baseline(scenario, graph, fresh=fresh)
+    baseline = _static_reduction(graph, scenario.backend, fresh=fresh)
+    baseline_ticks, diam = baseline.ticks, baseline.diameter
     program = None
     if fault.kind == "timeline":
         assert fault.timeline is not None
@@ -657,48 +658,64 @@ atexit.register(shutdown_worker_pool)
 def clear_scenario_caches() -> None:
     """Reset every per-process scenario cache to cold (tests, benchmarks).
 
-    Clears the graph, healthy-run and dynamic-run memos, the engine pool,
+    Clears the graph, static-run and dynamic-run memos, the engine pool,
     and the process-wide compiled-topology/interner caches.  Does not
     touch the persistent worker pool (their caches are per-worker; use
     :func:`shutdown_worker_pool` to recycle the workers themselves).
     """
-    _family_graph.cache_clear()
-    _healthy_run_for_graph.cache_clear()
+    _built_graph.cache_clear()
+    _static_memo.cache_clear()
     _dynamic_run.cache_clear()
     _ENGINE_POOL.clear()
     clear_compiled_cache()
     clear_interner_cache()
 
 
+#: The most cells one chunk carries.  A chunk is also the store's commit
+#: unit (one write, one ``fsync``), so this bounds what a hard kill of the
+#: parent can lose.
+_MAX_CHUNK = 64
+
+
 def _chunk_pending(
     pending: list[tuple[int, Scenario]], workers: int
 ) -> list[list[tuple[int, Scenario]]]:
-    """Group pending cells by setup key, preserving matrix order.
+    """Pack pending cells into chunks by setup key, preserving matrix order.
 
     Cells sharing a ``(family, size, seed, backend)`` key ride together:
     one pickle round-trip per chunk, and the worker that receives a chunk
-    computes the shared setup (built graph, healthy-run baseline, pooled
+    computes the shared setup (built graph, static baseline, pooled
     engine) once instead of racing its siblings to compute it redundantly.
+    Consecutive small key groups are packed into one chunk, so a matrix of
+    many one-cell keys (a seed sweep) still travels — and commits to the
+    store — in batches.
 
-    Chunks are additionally **capped** at roughly two chunks per worker:
-    a fault-heavy matrix with few keys would otherwise collapse onto a
-    couple of workers and idle the rest.  Splitting a key across chunks
-    re-pays its baseline at most once per extra chunk — never worse than
-    the old per-scenario dispatch, which split every key all the way down
-    — and the finer grain also tightens the store's write-through
-    granularity (results persist as each chunk completes).  Chunking is
-    invisible in the results: each cell travels with its matrix index.
+    Chunks are **capped** at ``min(ceil(pending / (2·workers)), 64)``
+    cells: roughly two chunks per worker, so a fault-heavy matrix with few
+    keys cannot collapse onto a couple of workers and idle the rest, and
+    at most :data:`_MAX_CHUNK` cells, the store's commit unit.  A key is
+    split only when it alone exceeds the cap; splitting re-pays its
+    baseline at most once per extra chunk.  Chunking is invisible in the
+    results: each cell travels with its matrix index.
     """
     groups: dict[tuple, list[tuple[int, Scenario]]] = {}
     for index, scenario in pending:
         key = (scenario.family, scenario.size, scenario.seed, scenario.backend)
         groups.setdefault(key, []).append((index, scenario))
-    cap = max(1, -(-len(pending) // (workers * 2)))
-    return [
-        group[start:start + cap]
-        for group in groups.values()
-        for start in range(0, len(group), cap)
-    ]
+    cap = min(max(1, -(-len(pending) // (workers * 2))), _MAX_CHUNK)
+    chunks: list[list[tuple[int, Scenario]]] = []
+    current: list[tuple[int, Scenario]] = []
+    for group in groups.values():
+        if len(current) + len(group) > cap and current:
+            chunks.append(current)
+            current = []
+        while len(group) > cap:
+            chunks.append(group[:cap])
+            group = group[cap:]
+        current += group
+    if current:
+        chunks.append(current)
+    return chunks
 
 
 def _coerce_artifacts(artifacts):
@@ -720,10 +737,12 @@ def _prewarm_artifacts(
     Runs in the parent before dispatch, so workers receive chunks whose
     artifacts already exist on disk and every one of them — whatever its
     start method — reaches its first hop through an ``mmap`` load of the
-    same physical pages.  Per distinct ``(family, size, seed)`` this is one
-    ``stat`` when warm and one compile+publish when cold; shutdown cells
-    derive per-cell degraded wirings inside the worker and fall through to
-    the ordinary miss path there.
+    same physical pages.  Per distinct wiring (:func:`_wiring_key`) this
+    is one ``stat`` when warm and one compile+publish when cold; the
+    graphs come from :func:`_family_graph`, so the serial run that follows
+    reuses them instead of building its own.  Shutdown cells derive
+    per-cell degraded wirings inside the worker and fall through to the
+    ordinary miss path there.
 
     Returns ``(published, skipped)``: the number of freshly published
     artifacts, and one ``(family, size, seed, reason)`` entry per wiring
@@ -736,21 +755,20 @@ def _prewarm_artifacts(
     skipped: list[tuple[str, int, int, str]] = []
     seen: set[tuple[str, int, int]] = set()
     for _, scenario in pending:
-        key = (scenario.family, scenario.size, scenario.seed)
+        key = _wiring_key(scenario.family, scenario.size, scenario.seed)
         if key in seen:
             continue
         seen.add(key)
         try:
             graph = _family_graph(*key)
         except ReproError as exc:
-            skipped.append((*key, str(exc)))
+            skipped.append((scenario.family, scenario.size, scenario.seed, str(exc)))
             continue
         _, fresh = library.ensure(graph)
         published += fresh
         # warm the parent's character kernel for this delta too: fork
-        # workers inherit the built tables for free, and the v2 artifact
-        # just published means even spawn workers mmap them back instead
-        # of recomputing
+        # workers inherit the built tables for free (artifacts hold the
+        # wiring only, so spawn workers build their own)
         kernel_for(graph.delta)
     return published, skipped
 
@@ -779,14 +797,19 @@ def run_campaign(
     With ``store`` (a :class:`repro.store.ResultStore` or a path to one),
     the run becomes persistent and incremental: scenarios already recorded
     in the store are loaded instead of executed, and every fresh result is
-    written through **as its chunk completes** — so an interrupted campaign
-    keeps its finished prefix and a re-run with the same store executes
-    only the remainder.  Because :func:`run_scenario` is a pure function of
-    the scenario, a loaded record equals the re-run result value-for-value
-    and the resumed campaign's aggregate is byte-identical to an
-    uninterrupted one.  (Corollary: a store outlives code changes — after
-    editing the protocol or the engine, start a fresh store rather than
-    resuming into results computed by older code.)
+    written through **as its chunk completes** — one
+    :meth:`~repro.store.ResultStore.put_many` commit per chunk of at most
+    64 cells, which may span several setup keys.  An exception in the
+    serial path (a strict-mode error, Ctrl-C) commits the chunk's finished
+    cells before it propagates; a hard kill loses at most the chunk in
+    progress.  So an interrupted campaign keeps its finished prefix and a
+    re-run with the same store executes only the remainder.  Because
+    :func:`run_scenario` is a pure function of the scenario, a loaded
+    record equals the re-run result value-for-value and the resumed
+    campaign's aggregate is byte-identical to an uninterrupted one.
+    (Corollary: a store outlives code changes — after editing the
+    protocol or the engine, start a fresh store rather than resuming into
+    results computed by older code.)
 
     With ``artifacts`` (a :class:`repro.store.ArtifactLibrary` or a path to
     one), compiled topologies persist across processes and campaigns: the
@@ -840,20 +863,29 @@ def run_campaign(
 
     delivered: set[int] = set()
 
-    def deliver(index: int, result: ScenarioResult) -> None:
-        # The single result sink for every execution path.  Idempotent per
-        # cell: a chunk requeued by the supervisor that turns out to have
-        # finished anyway cannot double-append to the store.
-        if index in delivered:
-            return
-        if policy.on_error == "raise" and result.outcome == "error":
-            raise ScenarioExecutionError(
-                result.scenario.label, result.error, result.error_digest
-            )
-        delivered.add(index)
-        if store is not None:
-            store.put(result)
-        slots[index] = result
+    def deliver(cells: Iterable[tuple[int, ScenarioResult]]) -> None:
+        # The single result sink for every execution path: one chunk's
+        # fresh results, committed to the store with one write and one
+        # fsync.  Idempotent per cell: a chunk requeued by the supervisor
+        # that turns out to have finished anyway cannot double-append.
+        # ``cells`` may be lazy (the serial path runs each cell as it is
+        # drawn), so a strict-mode error or Ctrl-C mid-chunk still commits
+        # the cells before it, exactly as a per-cell write would have.
+        fresh: list[ScenarioResult] = []
+        try:
+            for index, result in cells:
+                if index in delivered:
+                    continue
+                if policy.on_error == "raise" and result.outcome == "error":
+                    raise ScenarioExecutionError(
+                        result.scenario.label, result.error, result.error_digest
+                    )
+                delivered.add(index)
+                slots[index] = result
+                fresh.append(result)
+        finally:
+            if store is not None and fresh:
+                store.put_many(fresh)
 
     # Clamp the pool to the actual work: jobs > len(pending) would spawn
     # workers that fork, import, and exit without ever running a scenario.
@@ -862,8 +894,7 @@ def run_campaign(
         # The serial path walks the same chunk order as the parallel one,
         # so a serial run writes the store in the same order.
         for chunk in _chunk_pending(pending, 1):
-            for index, scenario in chunk:
-                deliver(index, _guarded_cell(scenario))
+            deliver((index, _guarded_cell(scenario)) for index, scenario in chunk)
     else:
         try:
             _run_supervised(
@@ -965,7 +996,7 @@ def _run_supervised(
     artifacts_root: str | None,
     profile_dir: str | None,
     policy: SupervisionPolicy,
-    deliver: Callable[[int, ScenarioResult], None],
+    deliver: Callable[[Iterable[tuple[int, ScenarioResult]]], None],
 ) -> None:
     """Dispatch ``chunks`` over the persistent pool under supervision.
 
@@ -1050,7 +1081,7 @@ def _run_supervised(
             suspects.append(_ChunkTask(cells=task.cells[mid:]))
             return
         ((index, scenario),) = task.cells
-        deliver(index, _quarantine_result(scenario, kind, detail))
+        deliver([(index, _quarantine_result(scenario, kind, detail))])
         rebuilds = 0
 
     def handle(gen: int, tid: int, payload, exc) -> None:
@@ -1063,8 +1094,7 @@ def _run_supervised(
         elif not _chunk_payload_valid(task.cells, payload):
             fail(task, "corrupt-result")
         else:
-            for index, result in payload:
-                deliver(index, result)
+            deliver(payload)
             rebuilds = 0
 
     def rebuild() -> bool:
@@ -1092,8 +1122,7 @@ def _run_supervised(
             suspects.clear()
             todo.clear()
             for task in leftovers:
-                for index, scenario in task.cells:
-                    deliver(index, _guarded_cell(scenario))
+                deliver((index, _guarded_cell(s)) for index, s in task.cells)
             break
         pump()
         try:

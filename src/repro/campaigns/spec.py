@@ -29,6 +29,7 @@ from repro.topology.portgraph import PortGraph
 
 __all__ = [
     "FAMILY_BUILDERS",
+    "SEEDED_FAMILIES",
     "build_family",
     "FaultModel",
     "parse_fault",
@@ -148,6 +149,11 @@ FAMILY_BUILDERS: dict[str, Callable[[int, int], PortGraph]] = {
     "ring-of-rings": _ring_of_rings,
     "spare-ring": _spare_ring,
 }
+
+#: The families whose builder reads the seed.  Every other family builds
+#: one wiring per size whatever the seed, so per-wiring memos may key it
+#: on ``(family, size)`` alone.
+SEEDED_FAMILIES = frozenset({"random", "tree-with-loop"})
 
 
 def build_family(family: str, size: int, seed: int = 0) -> PortGraph:
@@ -393,7 +399,7 @@ class Scenario:
         Computed over :data:`SPEC_HASH_FORMAT` plus the canonical JSON form
         (sorted keys, minimal separators), so it is stable across processes,
         interpreter invocations and ``PYTHONHASHSEED`` — unlike ``hash()``.
-        The result store shards and indexes by this key.
+        The result store indexes by this key.
         """
         payload = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(f"{SPEC_HASH_FORMAT}\n{payload}".encode())

@@ -3,7 +3,7 @@
 Two stores live here, both content-addressed and crash-tolerant:
 
 * :mod:`repro.store.result_store` — campaign *results*: every completed
-  scenario is appended to a JSONL shard under a key derived from the
+  scenario is appended to a JSONL commit log under a key derived from the
   scenario's canonical spec (family, size, fault, seed), so crashed
   sweeps resume where they stopped and overlapping matrices reuse every
   cell they share with past runs.

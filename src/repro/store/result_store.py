@@ -1,11 +1,12 @@
-"""The persistent campaign result store: JSONL shards + a spec-hash index.
+"""The persistent campaign result store: an append-only JSONL log + an index.
 
 Design, in one paragraph: the store is **content-addressed** (every record
 is keyed by its scenario's :meth:`~repro.campaigns.spec.Scenario.spec_hash`,
 a SHA-256 over the canonical spec, so the same cell of any matrix always
-lands at the same key) and **append-only** (a put appends one JSON line to
-the shard file named by the key's hex prefix; nothing is ever rewritten in
-place).  Those two choices buy the three campaign features for free:
+lands at the same key) and **append-only** (a commit appends a batch of
+JSON lines to one log file with a single write and a single ``fsync``;
+nothing is ever rewritten in place).  Those two choices buy the three
+campaign features for free:
 
 * **resume** — an interrupted run leaves a prefix of completed records on
   disk; re-running the same matrix looks each scenario up by key, loads the
@@ -17,14 +18,18 @@ place).  Those two choices buy the three campaign features for free:
   reuses every cell it shares with past runs, making large sweeps
   cumulative instead of repeated work.
 * **crash tolerance** — a process killed mid-append leaves at most one
-  torn final line per shard; the loader detects and drops a truncated
+  torn final line per file; the loader detects and drops a truncated
   trailing record and keeps everything before it.  Corruption anywhere
   else raises :class:`~repro.errors.StoreError` loudly.
 
 Duplicate keys are legal (append-only stores re-record on re-run); the
-last record wins, mirroring "latest run of this cell".  Records of a
-retired engine backend (:data:`RETIRED_BACKENDS`) stay on disk but are
-skipped on load: no current scenario can name that backend.
+last record wins, mirroring "latest run of this cell".  Stores written
+before the log existed keep their records in key-prefix shards
+(``shards/ab.jsonl``); the loader reads every ``shards/*.jsonl`` in name
+order and ``log.jsonl`` sorts after all of them, so such stores open,
+resume and take new records unchanged.  Records of a retired engine
+backend (:data:`RETIRED_BACKENDS`) stay on disk but are skipped on load:
+no current scenario can name that backend.
 """
 
 from __future__ import annotations
@@ -53,10 +58,10 @@ __all__ = [
 #: Manifest format tag; bump on incompatible layout or record changes.
 STORE_FORMAT = "repro.result-store/v1"
 
-#: Hex characters of the spec hash used as the shard file name.  Two gives
-#: up to 256 shards — enough to keep individual files small at campaign
-#: scale while staying trivially listable.
-_SHARD_PREFIX = 2
+#: The file every commit appends to.  Earlier writers spread records over
+#: key-prefix shards named by two hex digits; ``log.jsonl`` sorts after all
+#: of them, so the name-ordered, last-write-wins load lets it override them.
+_LOG_NAME = "log.jsonl"
 
 #: Engine backends that once wrote records but no longer exist.  Their
 #: records live under spec hashes of their own, so skipping them never
@@ -139,24 +144,26 @@ def _is_retired(record: dict) -> bool:
 # the store
 # ----------------------------------------------------------------------
 class ResultStore:
-    """A directory of append-only JSONL shards indexed by spec hash.
+    """A directory of append-only JSONL files indexed by spec hash.
 
     Layout::
 
         RUN_DIR/
-          MANIFEST.json     # format tag + shard geometry, written once
-          shards/ab.jsonl   # records whose spec hash starts with "ab"
+          MANIFEST.json       # format tag, written once
+          shards/ab.jsonl     # legacy key-prefix shards (read, never written)
+          shards/log.jsonl    # every commit since, in commit order
 
-    Opening a store scans every shard once and builds the in-memory index
-    (``spec hash -> latest record``); puts append to the owning shard and
+    Opening a store scans every file once and builds the in-memory index
+    (``spec hash -> latest record``); commits append to the log and
     update the index, so reads never re-touch disk.  Records are plain
-    values, making the store safe to copy, merge (concatenate shards), or
+    values, making the store safe to copy, merge (concatenate files), or
     commit to version control.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
         self._shard_dir = self.root / "shards"
+        self._log = self._shard_dir / _LOG_NAME
         self._index: dict[str, ScenarioResult] = {}
         self._init_layout()
         self._load()
@@ -178,7 +185,7 @@ class ResultStore:
         if self.root.exists() and not self.root.is_dir():
             raise StoreError(f"store path {self.root} exists and is not a directory")
         self._shard_dir.mkdir(parents=True, exist_ok=True)
-        manifest = {"format": STORE_FORMAT, "shard_prefix": _SHARD_PREFIX}
+        manifest = {"format": STORE_FORMAT}
         manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
 
     def _load(self) -> None:
@@ -215,25 +222,47 @@ class ResultStore:
 
     # -- writes ----------------------------------------------------------
     def put(self, result: ScenarioResult) -> str:
-        """Append one result; returns its spec-hash key.
-
-        The record is flushed and fsynced before the index is updated, so
-        a key visible in memory is always durable on disk.
-        """
-        key = result.scenario.spec_hash()
-        record = {"key": key, "result": result_to_doc(result)}
-        shard = self._shard_dir / f"{key[:_SHARD_PREFIX]}.jsonl"
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with shard.open("a") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._index[key] = result
-        return key
+        """Append one result; returns its spec-hash key."""
+        return self.put_many([result])[0]
 
     def put_many(self, results: Iterable[ScenarioResult]) -> list[str]:
-        """Append many results; returns their keys in order."""
-        return [self.put(result) for result in results]
+        """Commit a batch of results; returns their keys in order.
+
+        The whole batch is appended to the log in one ``O_APPEND`` write
+        and fsynced once, and only then does it enter the index — so a key
+        visible in memory is always durable on disk.  If the write or the
+        ``fsync`` fails, the log is cut back to its prior length and the
+        index is left untouched.
+        """
+        results = list(results)
+        keys = [result.scenario.spec_hash() for result in results]
+        if not results:
+            return keys
+        lines = [
+            json.dumps(
+                {"key": key, "result": result_to_doc(result)},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            for key, result in zip(keys, results)
+        ]
+        data = ("\n".join(lines) + "\n").encode()
+        fd = os.open(self._log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            size = os.fstat(fd).st_size
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view) :]
+                os.fsync(fd)
+            except BaseException:
+                os.ftruncate(fd, size)
+                raise
+        finally:
+            os.close(fd)
+        for key, result in zip(keys, results):
+            self._index[key] = result
+        return keys
 
     # -- reads -----------------------------------------------------------
     @staticmethod
@@ -313,10 +342,10 @@ class ResultStore:
 # ----------------------------------------------------------------------
 @dataclass
 class StoreVerifyReport:
-    """What an offline scan of a result store's shards found.
+    """What an offline scan of a result store's files found.
 
     ``problems`` are records that cannot be trusted — unparseable JSON in
-    the middle of a shard, a record that fails deserialization, or a key
+    the middle of a file, a record that fails deserialization, or a key
     that does not match the stored scenario's recomputed spec hash.
     ``torn`` entries are truncated *final* lines: the expected signature of
     a run killed mid-append, reported as warnings (the loader drops them

@@ -11,15 +11,18 @@ from repro.campaigns import (
     CampaignSpec,
     FaultModel,
     Scenario,
+    SupervisionPolicy,
     build_family,
     parse_fault,
     run_campaign,
     run_scenario,
 )
 from repro.campaigns.executor import shutdown_worker_pool
+from repro.campaigns.faultinject import ENV_VAR
 from repro.campaigns.spec import FAMILY_BUILDERS
 from repro.cli import main
-from repro.errors import ReproError
+from repro.errors import ReproError, ScenarioExecutionError
+from repro.store import ResultStore
 
 
 class TestSpec:
@@ -169,6 +172,77 @@ class TestDeterminism:
         # serial-sized pools keep whole keys together (maximal sharing)
         [a, b] = _chunk_pending(pending, workers=1)
         assert len(a) == len(b) == 6
+
+    def test_chunking_packs_small_keys_and_splits_only_oversized_ones(self):
+        from repro.campaigns.executor import _chunk_pending
+
+        # 100 one-cell keys, one key of 70 cells, one key of 3 cells
+        pending = [
+            (i, Scenario("directed-ring", 4, "none", seed))
+            for i, seed in enumerate(range(100))
+        ]
+        pending += [
+            (100 + d, Scenario("spare-ring", 8, f"cut:{(d + 1) / 100}", 0))
+            for d in range(70)
+        ]
+        pending += [
+            (170 + d, Scenario("spare-ring", 8, f"cut:0.{d + 1}", 1))
+            for d in range(3)
+        ]
+
+        def key(scenario):
+            return (scenario.family, scenario.size, scenario.seed, scenario.backend)
+
+        expected_sizes = {1: [64, 36, 64, 9], 4: [22] * 4 + [12] + [22] * 3 + [7]}
+        for workers, sizes in expected_sizes.items():
+            chunks = _chunk_pending(pending, workers)
+            assert [len(c) for c in chunks] == sizes
+            # matrix order is kept across and within chunks
+            assert [i for chunk in chunks for i, _ in chunk] == list(range(173))
+            # only the 70-cell key, larger than either cap, is split
+            homes: dict[tuple, set[int]] = {}
+            for n, chunk in enumerate(chunks):
+                for _, scenario in chunk:
+                    homes.setdefault(key(scenario), set()).add(n)
+            split = {k for k, chunk_ids in homes.items() if len(chunk_ids) > 1}
+            assert split == {("spare-ring", 8, 0, "object")}
+
+    @pytest.mark.parametrize("abort", ["strict", "interrupt"])
+    def test_aborted_serial_run_keeps_exactly_the_cells_before_it(
+        self, abort, tmp_path, monkeypatch
+    ):
+        from repro.campaigns import executor
+
+        # ten one-cell keys pack into two chunks of five; the abort comes
+        # at s6, inside the second chunk, after s5 finished in it
+        spec = CampaignSpec(
+            families=("directed-ring",), sizes=(4,), seeds=tuple(range(10))
+        )
+        if abort == "strict":
+            monkeypatch.setenv(ENV_VAR, "kind=error;match=/s6")
+            expected = ScenarioExecutionError
+        else:
+            real = executor.run_scenario
+
+            def interrupted(scenario):
+                if scenario.seed == 6:
+                    raise KeyboardInterrupt
+                return real(scenario)
+
+            monkeypatch.setattr(executor, "run_scenario", interrupted)
+            expected = KeyboardInterrupt
+        with pytest.raises(expected):
+            run_campaign(
+                spec,
+                store=tmp_path / "run",
+                policy=SupervisionPolicy(on_error="raise"),
+            )
+        monkeypatch.undo()
+        stored = ResultStore(tmp_path / "run")
+        assert sorted(stored.keys()) == sorted(
+            s.spec_hash() for s in spec.scenarios()[:6]
+        )
+        assert stored.results_for(spec)[:6] == run_campaign(spec).results[:6]
 
     @pytest.mark.parametrize(
         "method",

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import pathlib
 import subprocess
 import sys
+
+from dataclasses import replace
 
 import pytest
 
@@ -163,8 +167,8 @@ class TestResultStore:
         store = ResultStore(tmp_path / "run")
         results = [run_scenario(s) for s in SPEC.scenarios()[:2]]
         keys = store.put_many(results)
-        # simulate a kill mid-append: a half-written record at shard end
-        shard = next((tmp_path / "run" / "shards").glob(f"{keys[1][:2]}*.jsonl"))
+        # simulate a kill mid-append: a half-written record at the log's end
+        shard = tmp_path / "run" / "shards" / "log.jsonl"
         intact = shard.read_bytes()
         with shard.open("a") as fh:
             fh.write('{"key": "deadbeef", "result": {"scenario"')
@@ -182,8 +186,8 @@ class TestResultStore:
 
     def test_non_object_json_line_is_store_error(self, tmp_path):
         store = ResultStore(tmp_path / "run")
-        key = store.put(run_scenario(Scenario("de-bruijn", 6)))
-        shard = tmp_path / "run" / "shards" / f"{key[:2]}.jsonl"
+        store.put(run_scenario(Scenario("de-bruijn", 6)))
+        shard = tmp_path / "run" / "shards" / "log.jsonl"
         lines = shard.read_text().splitlines()
         shard.write_text("5\n" + "\n".join(lines) + "\n")
         with pytest.raises(StoreError, match="corrupt record"):
@@ -192,9 +196,9 @@ class TestResultStore:
     def test_mid_file_corruption_raises(self, tmp_path):
         store = ResultStore(tmp_path / "run")
         result = run_scenario(Scenario("de-bruijn", 6))
-        key = store.put(result)
-        store.put(result)  # same shard, so the corrupt line is not last
-        shard = tmp_path / "run" / "shards" / f"{key[:2]}.jsonl"
+        store.put(result)
+        store.put(result)  # a second line, so the corrupt line is not last
+        shard = tmp_path / "run" / "shards" / "log.jsonl"
         lines = shard.read_text().splitlines()
         lines[0] = "not json at all"
         shard.write_text("\n".join(lines) + "\n")
@@ -218,6 +222,88 @@ class TestResultStore:
 
 
 # ----------------------------------------------------------------------
+# the commit log: one write and one fsync per batch
+# ----------------------------------------------------------------------
+class TestCommitLog:
+    def test_serial_campaign_fsyncs_once_per_chunk(self, tmp_path, monkeypatch):
+        from repro.campaigns.executor import _chunk_pending
+
+        spec = CampaignSpec(
+            families=("directed-ring",), sizes=(4,), seeds=tuple(range(150))
+        )
+        chunks = _chunk_pending(list(enumerate(spec.scenarios())), 1)
+        assert [len(c) for c in chunks] == [64, 64, 22]
+        calls = []
+        real = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        run_campaign(spec, store=tmp_path / "run")
+        assert len(calls) == len(chunks)
+        monkeypatch.undo()
+        reopened = ResultStore(tmp_path / "run")
+        assert reopened.results_for(spec) == run_campaign(spec).results
+        assert [p.name for p in (tmp_path / "run" / "shards").iterdir()] == [
+            "log.jsonl"
+        ]
+
+    def test_failed_fsync_leaves_index_and_log_untouched(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "run")
+        store.put(run_scenario(Scenario("de-bruijn", 6)))
+        log = tmp_path / "run" / "shards" / "log.jsonl"
+        before = log.read_bytes()
+        batch = [run_scenario(s) for s in SPEC.scenarios()[1:]]
+
+        def broken(fd):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        monkeypatch.setattr(os, "fsync", broken)
+        with pytest.raises(OSError, match="injected"):
+            store.put_many(batch)
+        monkeypatch.undo()
+        assert len(store) == 1
+        assert not any(result.scenario in store for result in batch)
+        assert log.read_bytes() == before
+        assert len(ResultStore(tmp_path / "run")) == 1
+
+    def test_key_prefix_store_opens_resumes_and_yields_to_the_log(
+        self, tmp_path, monkeypatch
+    ):
+        results = run_campaign(SPEC).results
+        # the layout earlier writers used: one shard per two-hex-digit prefix
+        root = tmp_path / "legacy"
+        (root / "shards").mkdir(parents=True)
+        manifest = {"format": "repro.result-store/v1", "shard_prefix": 2}
+        (root / "MANIFEST.json").write_text(json.dumps(manifest))
+        for result in results:
+            key = result.scenario.spec_hash()
+            record = {"key": key, "result": result_to_doc(result)}
+            with (root / "shards" / f"{key[:2]}.jsonl").open("a") as fh:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+        import repro.campaigns.executor as executor
+
+        executed = []
+        monkeypatch.setattr(executor, "run_scenario", executed.append)
+        resumed = run_campaign(SPEC, store=root)
+        assert executed == []
+        assert resumed.results == results
+        assert not (root / "shards" / "log.jsonl").exists()
+        # a later record of the same key lands in the log and wins on load
+        newer = replace(results[0], ticks=results[0].ticks + 1)
+        ResultStore(root).put(newer)
+        assert (root / "shards" / "log.jsonl").exists()
+        reopened = ResultStore(root)
+        assert len(reopened) == len(results)
+        assert reopened.get(results[0].scenario) == newer
+        report = verify_result_store(root)
+        assert report.ok and report.duplicates == 1
+
+
+# ----------------------------------------------------------------------
 # offline shard verification
 # ----------------------------------------------------------------------
 class TestStoreVerify:
@@ -232,8 +318,8 @@ class TestStoreVerify:
 
     def test_verify_is_read_only_and_reports_torn_tail(self, tmp_path):
         store = ResultStore(tmp_path / "run")
-        key = store.put(run_scenario(Scenario("de-bruijn", 6)))
-        shard = tmp_path / "run" / "shards" / f"{key[:2]}.jsonl"
+        store.put(run_scenario(Scenario("de-bruijn", 6)))
+        shard = tmp_path / "run" / "shards" / "log.jsonl"
         with shard.open("a") as fh:
             fh.write('{"key": "deadbeef", "result": {"scenario"')
         before = shard.read_bytes()
@@ -248,9 +334,9 @@ class TestStoreVerify:
     def test_mid_shard_corruption_is_a_problem(self, tmp_path):
         store = ResultStore(tmp_path / "run")
         result = run_scenario(Scenario("de-bruijn", 6))
-        key = store.put(result)
-        store.put(result)  # two lines in the shard: corrupt the first
-        shard = tmp_path / "run" / "shards" / f"{key[:2]}.jsonl"
+        store.put(result)
+        store.put(result)  # two lines in the log: corrupt the first
+        shard = tmp_path / "run" / "shards" / "log.jsonl"
         lines = shard.read_text().splitlines()
         lines[0] = "not json at all"
         shard.write_text("\n".join(lines) + "\n")
@@ -261,7 +347,7 @@ class TestStoreVerify:
     def test_key_spec_hash_mismatch_is_a_problem(self, tmp_path):
         store = ResultStore(tmp_path / "run")
         key = store.put(run_scenario(Scenario("de-bruijn", 6)))
-        shard = tmp_path / "run" / "shards" / f"{key[:2]}.jsonl"
+        shard = tmp_path / "run" / "shards" / "log.jsonl"
         doc = json.loads(shard.read_text())
         doc["key"] = "0" * len(key)
         shard.write_text(json.dumps(doc) + "\n")
@@ -286,12 +372,12 @@ class TestStoreVerify:
     def test_retired_backend_records_are_skipped_not_corrupt(self, capsys, tmp_path):
         store = ResultStore(tmp_path / "run")
         flat = run_scenario(Scenario("de-bruijn", 6, backend="flat"))
-        key = store.put(flat)
+        store.put(flat)
         # a record the removed lane-parallel backend wrote, by hand: its
         # scenario can no longer be rebuilt, so loading it would raise
         doc = result_to_doc(flat)
         doc["scenario"]["backend"] = "batch"
-        shard = tmp_path / "run" / "shards" / f"{key[:2]}.jsonl"
+        shard = tmp_path / "run" / "shards" / "log.jsonl"
         with shard.open("a") as fh:
             fh.write(json.dumps({"key": "ab" * 32, "result": doc}) + "\n")
         reopened = ResultStore(tmp_path / "run")
