@@ -9,15 +9,15 @@ hops, ticks, episodes, everything):
 
 * **fresh** — ``run_scenario(..., fresh=True)`` with every cache cleared
   before each cell: the graph is rebuilt, the healthy baseline re-measured,
-  the engine (CSR tables, interned alphabet, packed-wheel dictionaries)
-  reconstructed from scratch.  This is the work a pre-cache worker performed
-  the first time it saw a cell's key — the common case before this
+  the engine (CSR tables, character kernel with its packed-wheel encode
+  maps) reconstructed from scratch.  This is the work a pre-cache worker
+  performed the first time it saw a cell's key — the common case before this
   pipeline existed, because every ``run_campaign`` invocation forked a
   fresh pool (cold caches) and per-scenario unordered dispatch scattered
   cells sharing a baseline across workers.
 * **cached** — the executor's real path: per-worker graph, healthy-run
   and dynamic-run memos, engine pools reset instead of rebuilt, process-wide
-  compiled-topology/interner caches, chunked dispatch.  Measured at steady
+  compiled-topology/kernel caches, chunked dispatch.  Measured at steady
   state (one untimed warmup invocation first), which is what the
   persistent worker pool delivers to sweep drivers: the caches stay warm
   across ``run_campaign`` calls.

@@ -32,10 +32,11 @@ reused, per worker process:
   deterministic, so cells that lower to the same run — ops landing after
   the undisturbed terminal tick, seed-invariant ``frontier:k`` cuts on a
   deterministic family — simulate once and only relabel per cell;
-* engines are checked out of a per-worker
-  :class:`~repro.sim.run.EnginePool` (reset, not rebuilt, between runs),
-  which in turn shares the process-wide compiled-topology and interner
-  caches.
+* dynamic runs check their engines out of a per-worker
+  :class:`~repro.sim.run.EnginePool` (reset, not rebuilt, between runs);
+  static runs build theirs, since the static memo never runs the same
+  ``(graph, backend)`` twice.  Every engine shares the process-wide
+  compiled-topology and character kernel caches.
 
 The worker pool itself is **persistent**: one pool (per start method and
 size) survives across ``run_campaign`` invocations, so sweep drivers that
@@ -50,7 +51,7 @@ already computed it.  None of this is observable in the results —
 ``jobs=1`` and ``jobs=N`` stay value-identical and stores resume
 byte-identically; :func:`run_scenario` with ``fresh=True`` bypasses the
 per-worker memos and the engine pool, and :func:`clear_scenario_caches`
-additionally drops the process-wide compiled-topology/interner caches
+additionally drops the process-wide compiled-topology/kernel caches
 (the benchmark's pre-cache reference path clears + runs fresh; the
 cache-correctness tests rely on both).
 
@@ -102,7 +103,7 @@ from repro.errors import (
     TranscriptError,
 )
 from repro.protocol.runner import determine_topology
-from repro.sim.characters import clear_interner_cache, kernel_for
+from repro.sim.characters import clear_kernel_cache, kernel_for
 from repro.sim.run import EnginePool
 from repro.topology.compile import clear_compiled_cache
 from repro.topology.faults import (
@@ -125,7 +126,7 @@ __all__ = [
     "shutdown_worker_pool",
 ]
 
-#: The per-process engine pool every cached scenario run draws from.  In a
+#: The per-process engine pool every cached dynamic run draws from.  In a
 #: campaign worker it lives for the worker's whole lifetime — which, with
 #: the persistent worker pool, spans ``run_campaign`` invocations.
 _ENGINE_POOL = EnginePool()
@@ -187,7 +188,7 @@ def run_scenario(scenario: Scenario, *, fresh: bool = False) -> ScenarioResult:
     ``fresh=True`` bypasses every per-worker cache (graph memo, static and
     dynamic run memos, engine pool) and rebuilds that setup from scratch —
     the pre-cache execution path.  (The process-wide compiled-topology/
-    interner caches are shared state, not per-scenario setup; a caller
+    kernel caches are shared state, not per-scenario setup; a caller
     that wants those cold too — the campaign benchmark's reference loop —
     calls :func:`clear_scenario_caches` first.)  The result is
     value-identical either way: the cache layer is pure reuse, enforced
@@ -298,17 +299,18 @@ def _dynamic_run(
     )
 
 
-def _static_result(
-    graph: PortGraph, backend: str, pool: EnginePool | None = None
-) -> ScenarioResult:
+def _static_result(graph: PortGraph, backend: str) -> ScenarioResult:
     """One static protocol run on ``graph``, reduced to its result fields.
 
     Everything here is a pure function of the wiring and the backend, so
     the returned value carries no scenario (``scenario=None``); callers
     attach theirs with :func:`dataclasses.replace`.  Raises
     :class:`~repro.errors.TickBudgetExceeded` when the run deadlocks.
+    The engine is built, not checked out of the pool: :func:`_static_memo`
+    runs each ``(graph, backend)`` once per worker, so a pooled static
+    engine would never be checked out again.
     """
-    result = determine_topology(graph, backend=backend, pool=pool)
+    result = determine_topology(graph, backend=backend)
     return ScenarioResult(
         scenario=None,  # type: ignore[arg-type]
         outcome="exact" if result.matches(graph) else "mismatch",
@@ -335,7 +337,7 @@ def _static_memo(graph: PortGraph, backend: str) -> ScenarioResult:
     fields are kept — never the transcript.  A deadlock raises through
     and, since ``lru_cache`` never caches an exception, stays uncached.
     """
-    return _static_result(graph, backend, _ENGINE_POOL)
+    return _static_result(graph, backend)
 
 
 def _static_reduction(
@@ -543,18 +545,13 @@ def _init_worker(artifacts_root: str | None, profile_dir: str | None = None) -> 
 
         configure_artifact_library(artifacts_root)
     # Warm the character kernel for the common degree bound up front:
-    # every engine at a given delta shares one process-cached kernel
-    # (dense convert/fill/predicate tables) and one interner whose
-    # derived encode maps the packed wheel shares, so paying the
-    # one-time table build at pool construction keeps it out of the
-    # first cell's wall-clock.  ``fork`` workers inherit any further
-    # deltas the parent prewarmed; spawn workers at least get the
-    # delta-2 census every standard family uses.
-    from repro.sim.characters import interner_for, kernel_for
-    from repro.sim.flatcore import PackedEventWheel
-
+    # every engine at a given delta shares one process-cached kernel (its
+    # fill rows, handler plan, transition program and the packed wheel's
+    # encode maps), so paying the one-time build at pool construction
+    # keeps it out of the first cell's wall-clock.  ``fork`` workers
+    # inherit any further deltas the parent prewarmed; spawn workers at
+    # least get the delta-2 code space every standard family uses.
     kernel_for(2)
-    PackedEventWheel(interner_for(2))
 
 
 def _resolve_start_method(start_method: str | None) -> str:
@@ -659,7 +656,7 @@ def clear_scenario_caches() -> None:
     """Reset every per-process scenario cache to cold (tests, benchmarks).
 
     Clears the graph, static-run and dynamic-run memos, the engine pool,
-    and the process-wide compiled-topology/interner caches.  Does not
+    and the process-wide compiled-topology/kernel caches.  Does not
     touch the persistent worker pool (their caches are per-worker; use
     :func:`shutdown_worker_pool` to recycle the workers themselves).
     """
@@ -668,7 +665,7 @@ def clear_scenario_caches() -> None:
     _dynamic_run.cache_clear()
     _ENGINE_POOL.clear()
     clear_compiled_cache()
-    clear_interner_cache()
+    clear_kernel_cache()
 
 
 #: The most cells one chunk carries.  A chunk is also the store's commit

@@ -297,7 +297,7 @@ class ProtocolProcessor(Processor):
         object-path handlers via ``chars[code]``, so semantics — including
         exception messages — are byte-identical by construction.
 
-        The engine applies the kernel fill table *before* dispatch, so
+        The engine applies the kernel fill rows *before* dispatch, so
         ``code`` is always concrete here (mirroring the object loop, which
         fills before calling the per-kind handler).  Handlers reach every
         mutable register through ``self`` per call — :meth:`reset` re-runs

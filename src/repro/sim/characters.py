@@ -57,9 +57,11 @@ __all__ = [
     "alphabet_size",
     "enumerate_alphabet",
     "intern_char",
-    "CharInterner",
-    "interner_for",
-    "clear_interner_cache",
+    "PRIORITY_CONTROL",
+    "PRIORITY_DYING",
+    "PRIORITY_GROWING",
+    "PRIORITY_TOKEN",
+    "priority_of",
     "CharKernel",
     "kernel_alphabet",
     "kernel_size",
@@ -78,18 +80,6 @@ __all__ = [
     "TRANS_PORT_SHIFT",
     "TRANS_PORT_MASK",
     "TRANS_CODE_SHIFT",
-    "KFLAG_SNAKE",
-    "KFLAG_GROWING",
-    "KFLAG_DYING",
-    "KFLAG_HEAD",
-    "KFLAG_BODY",
-    "KFLAG_TAIL",
-    "KFLAG_SCOPE_RCA",
-    "KFLAG_SCOPE_BCA",
-    "KFLAG_SPEED3",
-    "KFLAG_FILLS",
-    "KPRIO_SHIFT",
-    "KPRIO_MASK",
     "TOKEN_KINDS",
     "MSG_DFS_RETURN",
     "SCOPE_RCA",
@@ -366,121 +356,62 @@ def enumerate_alphabet(delta: int) -> list[Char]:
     return chars
 
 
-class CharInterner:
-    """Bijective ``Char`` ↔ integer-code mapping over the constant alphabet.
-
-    Built once per run from :func:`enumerate_alphabet`, so every protocol
-    character has a small stable code and a single canonical instance.  The
-    flat-core engine stores only codes in its event wheel and hands the
-    canonical instance back to handlers — the hot loop allocates no
-    characters.
-
-    Characters outside the enumerated alphabet (test doubles inventing
-    kinds, scripted drivers with nonstandard payloads) are interned lazily
-    on first sight; their codes are appended after the constant alphabet
-    and stay stable for the lifetime of the interner.
-    """
-
-    __slots__ = ("delta", "chars", "codes", "derived")
-
-    def __init__(self, delta: int) -> None:
-        self.delta = delta
-        #: code -> canonical instance (also keeps every canonical alive,
-        #: which is what makes identity-keyed caches on top of it safe).
-        #: Seeded from the *kernel* alphabet — the census plus its closure
-        #: under engine fill-in — so interner codes index straight into the
-        #: :class:`CharKernel` tables for the same delta.
-        self.chars: list[Char] = list(kernel_for(delta).chars)
-        #: value -> code
-        self.codes: dict[Char, int] = {
-            char: code for code, char in enumerate(self.chars)
-        }
-        #: scratch space for code-indexed tables engines derive from this
-        #: interner (packed wheel encode maps, fill variants, ...).  Each
-        #: entry must be a pure, append-only function of ``chars``, so every
-        #: engine sharing the interner can share one copy instead of
-        #: rebuilding it per construction; lifetime is the interner's.
-        self.derived: dict[str, object] = {}
-
-    def __len__(self) -> int:
-        return len(self.chars)
-
-    def encode(self, char: Char) -> int:
-        """The packed integer code of ``char`` (interned on first sight)."""
-        code = self.codes.get(char)
-        if code is None:
-            code = len(self.chars)
-            self.chars.append(char)
-            self.codes[char] = code
-        return code
-
-    def decode(self, code: int) -> Char:
-        """The canonical :class:`Char` for ``code``.
-
-        Round-trips with :meth:`encode`: ``decode(encode(c)) == c`` for any
-        character, and ``decode(encode(c)) is decode(encode(c))`` — the
-        canonical instance is stable, so transcripts and tests can compare
-        by value or identity.
-        """
-        return self.chars[code]
-
-
-#: delta -> the process-wide shared interner (see :func:`interner_for`).
-_INTERNERS: dict[int, CharInterner] = {}
-
-
-def interner_for(delta: int) -> CharInterner:
-    """The process-wide shared :class:`CharInterner` for ``delta``.
-
-    Enumerating the alphabet is O(delta^2) object construction — by far
-    the most expensive piece of building a flat engine — and the mapping
-    is a pure function of ``delta``, so every engine at the same degree
-    bound shares one interner.  Sharing is observation-free: codes are an
-    internal address (nothing ordering- or output-relevant ever compares
-    them across engines), lazily-interned extras only ever *append*, and
-    every engine sizes its code-indexed tables off the live ``chars`` list.
-    """
-    interner = _INTERNERS.get(delta)
-    if interner is None:
-        interner = _INTERNERS[delta] = CharInterner(delta)
-    return interner
-
-
-def clear_interner_cache() -> None:
-    """Drop the shared interners (tests, cold-cache baselines)."""
-    _INTERNERS.clear()
-    _KERNELS.clear()
-
-
 # ----------------------------------------------------------------------
 # the compile-time character kernel (code-space hot loop support)
 # ----------------------------------------------------------------------
-# Every per-hop character operation — predicates, family/role accessors,
-# fill-in, conversion — is a pure function on the closed finite alphabet
-# of Lemma 5.2, so it can be lowered once into dense ``array('q')`` tables
-# indexed by character code.  The flat-core backend then answers every
-# character question with one indexed load instead of inspecting a
-# :class:`Char` object.  The tables depend on ``delta`` alone, never on the
-# wiring, so they are built once per process per degree bound
-# (:func:`kernel_for`) and are not part of any topology artifact.
+# Every per-hop character operation — fill-in, role, priority, handler
+# choice — is a pure function on the closed finite alphabet of Lemma 5.2,
+# so it can be lowered once into lists indexed by character code.  The
+# flat-core backend then answers every character question with one indexed
+# load instead of inspecting a :class:`Char` object.  The code space
+# depends on ``delta`` alone, never on the wiring, so it is built once per
+# process per degree bound (:func:`kernel_for`) and is not part of any
+# topology artifact.
 
-#: Per-code predicate bitmask layout (``char_flags`` table).
-KFLAG_SNAKE = 1 << 0
-KFLAG_GROWING = 1 << 1
-KFLAG_DYING = 1 << 2
-KFLAG_HEAD = 1 << 3
-KFLAG_BODY = 1 << 4
-KFLAG_TAIL = 1 << 5
-#: Scope bits are set on KILL/UNMARK tokens (from their payload).
-KFLAG_SCOPE_RCA = 1 << 6
-KFLAG_SCOPE_BCA = 1 << 7
-KFLAG_SPEED3 = 1 << 8
-#: Set when the *engine-side* fill-in of §2.3.2 applies: a growing snake
-#: or DFS token whose second entry is still ``*`` (see ``char_fill``).
-KFLAG_FILLS = 1 << 9
-#: The scheduler's in-tick priority, stored in two bits above the flags.
-KPRIO_SHIFT = 10
-KPRIO_MASK = 0b11
+#: Packed event-wheel entry layout (re-exported by :mod:`repro.sim.flatcore`,
+#: whose wheel packs them).  20 code bits cover the constant alphabet for
+#: any realistic degree bound (delta ≈ 280 before overflow); 20 sequence
+#: bits bound one tick at ~1M arrivals — far above the N * delta wire limit.
+CODE_BITS = 20
+CODE_MASK = (1 << CODE_BITS) - 1
+SEQ_SHIFT = CODE_BITS
+SEQ_BITS = 20
+PORT_SHIFT = SEQ_SHIFT + SEQ_BITS
+PORT_MASK = (1 << 16) - 1
+PRIO_SHIFT = PORT_SHIFT + 16
+
+#: KILL/UNMARK must be seen before growing characters arriving the same
+#: tick so the speed-3 catch-up argument (Lemma 4.2) is exact.
+PRIORITY_CONTROL = 0
+#: Dying characters outrank growing ones so loop marking is never raced by
+#: the flood it is about to clean up.
+PRIORITY_DYING = 1
+PRIORITY_GROWING = 2
+#: DFS / FWD / BACK / BDONE and anything a test double invents.
+PRIORITY_TOKEN = 3
+
+
+def priority_of(kind: str) -> int:
+    """In-tick handling priority of a character kind; lower handles first."""
+    if kind in ("KILL", "UNMARK"):
+        return PRIORITY_CONTROL
+    if len(kind) == 3:
+        family = kind[:2]
+        if family in DYING_FAMILIES:
+            return PRIORITY_DYING
+        if family in GROWING_FAMILIES:
+            return PRIORITY_GROWING
+    return PRIORITY_TOKEN
+
+
+def _engine_fills(char: Char) -> bool:
+    """Whether the engine-side §2.3.2 fill-in rewrites ``char`` on delivery.
+
+    Only growing snakes and the DFS token whose second entry is still
+    ``*`` are filled; dying snakes are delivered verbatim by both backends
+    (unlike :func:`fill_in_port`, which fills any snake).
+    """
+    return char.in_port == STAR and (is_growing(char) or char.kind == "DFS")
 
 
 def kernel_alphabet(delta: int) -> list[Char]:
@@ -491,7 +422,7 @@ def kernel_alphabet(delta: int) -> list[Char]:
     ``IGT/OGT/BGT`` with a concrete in-port — which the engine-side
     fill-in of §2.3.2 produces on delivery but the census does not list
     (the census tail is the bare ``<family>T``).  Closing the set under
-    the fill table keeps every table entry a valid code.  The order is
+    the fill rows keeps every fill entry a valid code.  The order is
     deterministic: census first (so census codes are unchanged), then the
     filled tails family-major.
     """
@@ -583,35 +514,45 @@ def dying_phase(delta: int, pred: int, succ: int, promote: int) -> int:
 
 
 class CharKernel:
-    """Dense int64 lookup tables over the closed character code space.
+    """The character code space for one ``delta``: codes and their tables.
 
     Built once per ``delta`` and shared process-wide (:func:`kernel_for`);
     nothing about it depends on the wiring, so it is never stored with a
-    topology.  The eight ``array('q')`` tables are the canonical product;
-    the plain-list tables beside them (``role_list``, ``prio_list``,
-    ``fill_rows``, …) exist because CPython indexes a ``list`` faster than
-    an ``array`` in the hot loop.  ``char_trans`` has no list form: the
+    topology.  It is the flat engine's only ``Char`` ↔ code mapping: codes
+    ``0 .. n_codes - 1`` are :func:`kernel_alphabet` (the Lemma 5.2 census
+    plus its fill-in closure), and :meth:`encode` appends any character
+    outside it — a *stray*, such as a BCA tail carrying a caller's message,
+    or a kind a test double invents — at the next free code on first sight.
+    Codes are an internal address: nothing output-relevant compares them,
+    and strays only ever append, so every engine at this ``delta`` shares
+    one kernel.
+
+    Tables covering the first ``n_codes`` codes (``K = n_codes``,
+    ``P = n_phases(delta)``):
+
+    ``fill_rows``     ``K`` rows of ``delta+1``  ``[code][in_port] -> code``
+                      engine-side fill-in (row entry 0 is the identity)
+    ``role_list``     ``K``    0=head / 1=body / 2=tail, -1 for tokens
+    ``handler_plan``  ``K``    which code-space handler serves the code
+    ``body_codes``    6 rows of ``delta+1``  ``<family>B(port, *)`` codes
+    ``char_trans``    ``K*(delta+1)*P``  ``(code, in_port, phase) -> row``
+                      (the transition program, an ``array('q')``)
+
+    Tables covering every code, strays included, extended by
+    :meth:`encode`:
+
+    ``chars`` / ``codes``   code -> canonical :class:`Char` / its inverse
+    ``code_base``     code -> ``priority << PRIO_SHIFT | code``, the
+                      packed wheel entry before port and sequence bits
+    ``growing_code``  code -> whether KILL may purge it (growing kinds)
+    ``base_of`` / ``id_base``   value / ``id`` of the canonical instance
+                      -> ``code_base`` entry: the packed wheel's encode maps
+
+    The fill rows mirror the *engine's* fill semantics (growing snakes and
+    DFS only — dying characters are delivered verbatim, matching
+    ``FlatEngine`` and the object backend's §2.3.2 reading); :meth:`fill`
+    applies the same rule to strays.  ``char_trans`` has no list form: the
     transition program is machine-checked, but no Python stepper walks it.
-
-    Tables (``K = kernel_size(delta)`` codes, ``P = n_phases(delta)``
-    phases):
-
-    ``char_flags``     ``K``          predicate bitmask + priority bits
-    ``char_family``    ``K``          index into :data:`SNAKE_FAMILIES`, -1
-    ``char_role``      ``K``          0=head / 1=body / 2=tail, -1
-    ``char_out_port``  ``K``          first port entry (0 when unused)
-    ``char_in_port``   ``K``          second port entry (0 = ``*``)
-    ``char_fill``      ``K*(delta+1)``  ``(code, in_port) -> code`` fill-in
-    ``char_convert``   ``K*6``        ``(code, family index) -> code``, -1
-    ``char_trans``     ``K*(delta+1)*P``  ``(code, in_port, phase) -> row``
-                       (the transition program)
-
-    The fill table mirrors the *engine's* fill semantics (growing snakes
-    and DFS only — dying characters are delivered verbatim, matching
-    ``FlatEngine`` and the object backend's §2.3.2 reading), with row 0
-    (``in_port == STAR``) the identity.  The convert table re-brands a
-    snake code into each target family at the same role/ports/payload;
-    entries whose result falls outside the code space are -1.
     """
 
     __slots__ = (
@@ -619,121 +560,58 @@ class CharKernel:
         "n_codes",
         "chars",
         "codes",
-        "char_flags",
-        "char_family",
-        "char_role",
-        "char_out_port",
-        "char_in_port",
-        "char_fill",
-        "char_convert",
         "char_trans",
         "role_list",
-        "prio_list",
         "fill_rows",
-        "as_head_list",
         "body_codes",
         "handler_plan",
+        "code_base",
+        "growing_code",
+        "base_of",
+        "id_base",
     )
 
     def __init__(self, delta: int) -> None:
         self.delta = delta
-        chars = kernel_alphabet(delta)
-        self.chars: tuple[Char, ...] = tuple(chars)
+        #: code -> canonical instance (also keeps every canonical alive,
+        #: which is what makes the identity-keyed ``id_base`` safe)
+        self.chars: list[Char] = kernel_alphabet(delta)
+        chars = self.chars
         self.n_codes = n = len(chars)
         self.codes: dict[Char, int] = {c: i for i, c in enumerate(chars)}
+        self.code_base = [
+            (priority_of(c.kind) << PRIO_SHIFT) | code for code, c in enumerate(chars)
+        ]
+        self.growing_code = [c.kind in GROWING_KINDS for c in chars]
+        #: value -> packed base: folding the priority in makes a schedule a
+        #: single dict hit
+        self.base_of: dict[Char, int] = dict(zip(chars, self.code_base))
+        #: id(canonical instance) -> base.  Identity fast path: most
+        #: traffic is canonical instances flowing back out of the wheel
+        #: (flood relays re-broadcast the delivered character).
+        self.id_base: dict[int, int] = {
+            id(c): base for c, base in self.base_of.items()
+        }
         fam_index = {family: i for i, family in enumerate(SNAKE_FAMILIES)}
         role_index = {_ROLE_HEAD: 0, _ROLE_BODY: 1, _ROLE_TAIL: 2}
+        stride = delta + 1
 
-        flags = [0] * n
         family = [-1] * n
         role = [-1] * n
-        out_port = [0] * n
-        in_port = [0] * n
-        fill = [0] * (n * (delta + 1))
-        conv = [-1] * (n * 6)
+        fill_rows = []
         for code, char in enumerate(chars):
-            f = 0
             if is_snake(char):
-                f |= KFLAG_SNAKE
-                fam = snake_family(char)
-                family[code] = fam_index[fam]
+                family[code] = fam_index[snake_family(char)]
                 role[code] = role_index[snake_role(char)]
-                f |= (KFLAG_HEAD, KFLAG_BODY, KFLAG_TAIL)[role[code]]
-                if fam in GROWING_FAMILIES:
-                    f |= KFLAG_GROWING
-                else:
-                    f |= KFLAG_DYING
-                for target, fi in fam_index.items():
-                    got = self.codes.get(
-                        Char(
-                            target + char.kind[2],
-                            char.out_port,
-                            char.in_port,
-                            char.payload,
-                        )
-                    )
-                    if got is not None:
-                        conv[code * 6 + fi] = got
-            if char.kind in SPEED3_KINDS:
-                f |= KFLAG_SPEED3
-                if char.payload == SCOPE_RCA:
-                    f |= KFLAG_SCOPE_RCA
-                elif char.payload == SCOPE_BCA:
-                    f |= KFLAG_SCOPE_BCA
-            out_port[code] = char.out_port
-            in_port[code] = char.in_port
-            fills = char.in_port == STAR and (
-                (f & KFLAG_GROWING) or char.kind == "DFS"
-            )
-            if fills:
-                f |= KFLAG_FILLS
-            base = code * (delta + 1)
-            for j in range(delta + 1):
-                if fills and j != STAR:
-                    fill[base + j] = self.codes[
+            row = [code] * stride
+            if _engine_fills(char):
+                for j in range(1, stride):
+                    row[j] = self.codes[
                         intern_char(char.kind, char.out_port, j, char.payload)
                     ]
-                else:
-                    fill[base + j] = code
-            prio = (
-                0
-                if f & KFLAG_SPEED3
-                else 1
-                if f & KFLAG_DYING
-                else 2
-                if f & KFLAG_GROWING
-                else 3
-            )
-            flags[code] = f | (prio << KPRIO_SHIFT)
-
-        self.char_flags = array("q", flags)
-        self.char_family = array("q", family)
-        self.char_role = array("q", role)
-        self.char_out_port = array("q", out_port)
-        self.char_in_port = array("q", in_port)
-        self.char_fill = array("q", fill)
-        self.char_convert = array("q", conv)
-        # hot-loop mirrors: CPython list indexing beats array indexing
+            fill_rows.append(row)
         self.role_list = role
-        self.prio_list = [f >> KPRIO_SHIFT & KPRIO_MASK for f in flags]
-        #: the fill table re-sliced per code — two list indexings beat the
-        #: flat table's multiply-and-add in the delivery loop
-        self.fill_rows = [
-            fill[c * (delta + 1) : (c + 1) * (delta + 1)] for c in range(n)
-        ]
-        #: body code -> the same-family head at the same ports (-1 elsewhere);
-        #: the dying-relay promotion (head eaten, next body crowned) in one load.
-        self.as_head_list = [
-            self.codes.get(
-                Char(
-                    snake_family(c) + _ROLE_HEAD, c.out_port, c.in_port, c.payload
-                ),
-                -1,
-            )
-            if is_snake(c) and snake_role(c) == _ROLE_BODY
-            else -1
-            for c in chars
-        ]
+        self.fill_rows = fill_rows
         #: family index -> out_port-indexed ``<family>B(port, *)`` codes
         #: (slot 0 unused) — the tail relay's per-port body sends in one load.
         self.body_codes = [
@@ -767,12 +645,11 @@ class CharKernel:
         # ---- the transition program (see the module-level row encoding) --
         P = n_phases(delta)
         esc = growing_esc_phase(delta)
-        stride = delta + 1
         trans = [0] * (n * stride * P)
         for code in range(n):
             fam = family[code]
             for j in range(stride):
-                fc = fill[code * stride + j]
+                fc = fill_rows[code][j]
                 base = (code * stride + j) * P
                 escape_row = -(fc + 1)
                 trans[base : base + P] = [escape_row] * P
@@ -816,6 +693,49 @@ class CharKernel:
                         )
         self.char_trans = array("q", trans)
 
+    def encode(self, char: Char) -> int:
+        """The integer code of ``char``; a stray is interned on first sight.
+
+        A stray's code is the next free one, and every per-code list that
+        covers strays (``chars``, ``code_base``, ``growing_code`` and the
+        two encode maps) grows with it, so the code stays stable for the
+        kernel's lifetime.
+        """
+        code = self.codes.get(char)
+        if code is None:
+            code = len(self.chars)
+            base = (priority_of(char.kind) << PRIO_SHIFT) | code
+            self.chars.append(char)
+            self.codes[char] = code
+            self.code_base.append(base)
+            self.growing_code.append(char.kind in GROWING_KINDS)
+            self.base_of[char] = base
+            self.id_base[id(char)] = base
+        return code
+
+    def decode(self, code: int) -> Char:
+        """The canonical :class:`Char` for ``code``.
+
+        Round-trips with :meth:`encode`: ``decode(encode(c)) == c`` for any
+        character, and ``decode(encode(c)) is decode(encode(c))`` — the
+        canonical instance is stable, so transcripts and tests can compare
+        by value or identity.
+        """
+        return self.chars[code]
+
+    def fill(self, code: int, in_port: int) -> int:
+        """``code`` after the engine-side fill-in at arrival ``in_port``.
+
+        The rule :attr:`fill_rows` tabulates for kernel codes — only a
+        growing snake or a DFS token whose second entry is ``*`` is
+        filled — applied to any code; the engine calls it for strays, whose
+        filled variant is interned on first sight.
+        """
+        char = self.chars[code]
+        if in_port == STAR or not _engine_fills(char):
+            return code
+        return self.encode(Char(char.kind, char.out_port, in_port, char.payload))
+
 
 #: delta -> the process-wide shared kernel (see :func:`kernel_for`).
 _KERNELS: dict[int, CharKernel] = {}
@@ -824,9 +744,9 @@ _KERNELS: dict[int, CharKernel] = {}
 def kernel_for(delta: int) -> CharKernel:
     """The process-wide shared :class:`CharKernel` for ``delta``.
 
-    Like :func:`interner_for`, the kernel is a pure function of ``delta``;
-    building it is the O(delta^2) part of engine construction, so every
-    engine at the same degree bound shares one instance.
+    The kernel is a pure function of ``delta``; building it is the
+    O(delta^2) part of engine construction, so every engine at the same
+    degree bound shares one instance.
     """
     kernel = _KERNELS.get(delta)
     if kernel is None:

@@ -14,8 +14,8 @@ on dense integer tables instead of Python object graphs:
   this engine consumes zero-copy — so an emission resolves its wire with
   two integer indexings instead of a dict lookup, and a warm library
   means no process ever compiles the same wiring twice;
-* the character alphabet is interned up front
-  (:class:`~repro.sim.characters.CharInterner`) — every character is a
+* the character code space is built once per degree bound
+  (:class:`~repro.sim.characters.CharKernel`) — every character is a
   small integer code with one canonical :class:`~repro.sim.characters.Char`
   instance, so the wheel stores plain ints and delivery never allocates;
 * the event wheel (:class:`PackedEventWheel`) replaces the object wheel's
@@ -46,18 +46,20 @@ from typing import Iterator
 
 from repro.errors import SimulationError
 from repro.sim.characters import (
-    GROWING_KINDS,
-    STAR,
+    CODE_BITS,
+    CODE_MASK,
+    PORT_MASK,
+    PORT_SHIFT,
+    PRIO_SHIFT,
+    SEQ_BITS,
+    SEQ_SHIFT,
     Char,
-    CharInterner,
-    interner_for,
-    is_growing,
+    CharKernel,
     kernel_for,
 )
 from repro.sim.engine import Engine
 from repro.sim.metrics import TrafficMetrics
 from repro.sim.processor import Processor
-from repro.sim.scheduler import KIND_PRIORITY
 from repro.topology.compile import compiled_topology
 from repro.topology.portgraph import PortGraph
 
@@ -72,17 +74,6 @@ __all__ = [
     "PackedEventWheel",
     "FlatEngine",
 ]
-
-#: Packed-entry layout.  20 code bits cover the constant alphabet for any
-#: realistic degree bound (delta ≈ 280 before overflow); 20 sequence bits
-#: bound one tick at ~1M arrivals — far above the N * delta wire limit.
-CODE_BITS = 20
-CODE_MASK = (1 << CODE_BITS) - 1
-SEQ_SHIFT = CODE_BITS
-SEQ_BITS = 20
-PORT_SHIFT = SEQ_SHIFT + SEQ_BITS
-PORT_MASK = (1 << 16) - 1
-PRIO_SHIFT = PORT_SHIFT + 16
 
 
 class _Bucket:
@@ -114,46 +105,27 @@ class PackedEventWheel:
     Drop-in for the object backend's :class:`~repro.sim.scheduler.EventWheel`
     query surface (``next_tick`` / ``__bool__`` / ``__len__`` /
     ``in_flight``), but ``schedule`` encodes the character through the
-    interner and appends one packed int to the destination node's
+    kernel and appends one packed int to the destination node's
     ``array('q')`` lane, and ``pop`` hands the whole bucket back for
     zero-copy delivery.  Buckets (and their lanes) are recycled through a
     free ring via :meth:`recycle` instead of being reallocated per tick.
     """
 
     __slots__ = (
-        "interner",
+        "kernel",
         "chars",
         "base_of",
-        "id_base",
         "_buckets",
         "_ticks",
         "_ring",
     )
 
-    def __init__(self, interner: CharInterner) -> None:
-        self.interner = interner
-        self.chars = interner.chars
-        # The two encode maps are pure append-only functions of the
-        # interner's chars list, so every wheel over the same interner
-        # shares one copy (cached on the interner) instead of rebuilding
-        # both dicts per engine construction.
-        maps = interner.derived.get("wheel_maps")
-        if maps is None:
-            #: value -> packed (priority << PRIO_SHIFT) | code.  Folding the
-            #: priority in here is what makes a schedule a single dict hit.
-            base_of: dict[Char, int] = {
-                char: (KIND_PRIORITY[char.kind] << PRIO_SHIFT) | code
-                for code, char in enumerate(interner.chars)
-            }
-            #: id(canonical instance) -> base.  Identity fast path: most
-            #: traffic is canonical instances flowing back out of the wheel
-            #: (flood relays re-broadcast the delivered character), and id()
-            #: of a permanently-alive canonical is a safe key.
-            id_base: dict[int, int] = {
-                id(char): base for char, base in base_of.items()
-            }
-            maps = interner.derived["wheel_maps"] = (base_of, id_base)
-        self.base_of, self.id_base = maps
+    def __init__(self, kernel: CharKernel) -> None:
+        # the encode map is the kernel's own (shared by every wheel at this
+        # delta, extended by the kernel when it interns a stray)
+        self.kernel = kernel
+        self.chars = kernel.chars
+        self.base_of = kernel.base_of
         self._buckets: dict[int, _Bucket] = {}
         self._ticks: list[int] = []   # sorted ascending; popped from the front
         self._ring: list[_Bucket] = []
@@ -163,12 +135,8 @@ class PackedEventWheel:
         """``(priority << PRIO_SHIFT) | code`` for ``char`` (interns new)."""
         base = self.base_of.get(char)
         if base is None:
-            code = self.interner.encode(char)
-            base = (KIND_PRIORITY[char.kind] << PRIO_SHIFT) | code
-            self.base_of[char] = base
-            # the canonical instance is immortal (the interner holds it),
-            # so its identity is a safe fast-path key
-            self.id_base[id(self.chars[code])] = base
+            kernel = self.kernel
+            base = kernel.code_base[kernel.encode(char)]
         return base
 
     def schedule(self, tick: int, node: int, in_port: int, char: Char) -> None:
@@ -258,10 +226,10 @@ class PackedEventWheel:
 class FlatEngine(Engine):
     """The compiled flat-core backend: same contract, dense data plane.
 
-    Construction resolves the frozen graph's CSR tables and the constant
-    alphabet through the process-wide caches
+    Construction resolves the frozen graph's CSR tables and the character
+    code space through the process-wide caches
     (:func:`repro.topology.compile.compiled_topology`,
-    :func:`repro.sim.characters.interner_for`) — both artifacts are pure
+    :func:`repro.sim.characters.kernel_for`) — both artifacts are pure
     functions of (wiring, delta), so every engine over the same network
     shares one copy instead of re-lowering them — swaps the event wheel
     for :class:`PackedEventWheel`, and lowers each processor's per-kind
@@ -293,28 +261,17 @@ class FlatEngine(Engine):
         )
         topo = compiled_topology(graph)
         self._topo = topo.fork() if self.MUTATES_TOPOLOGY else topo
-        self._interner = interner_for(graph.delta)
-        self._wheel = PackedEventWheel(self._interner)
-        self._id_base = self._wheel.id_base
-        self._chars = self._interner.chars
+        # ---- the code space (compile-time character algebra) ----
+        # Every character operation the hot loop needs — fill, role,
+        # family, priority — is a pure function on the Lemma 5.2 census,
+        # precomputed once per delta by the shared CharKernel.  Per-node
+        # code handlers dispatch on those small ints and emit through the
+        # code sinks below, so a hot delivery never touches a Char object.
+        self._kernel = kernel = kernel_for(graph.delta)
+        self._wheel = PackedEventWheel(kernel)
+        self._id_base = kernel.id_base
+        self._chars = kernel.chars
         self._emitted_by_code: list[int] = []
-        # Two more pure functions of the interner's chars list, shared by
-        # every engine at this delta through the interner's derived-table
-        # cache (both only ever append, in code order):
-        derived = self._interner.derived
-        # code -> whether the character is a growing-snake kind (the only
-        # purgeable class under the PURGES_ONLY_GROWING contract)
-        growing = derived.get("growing_code")
-        if growing is None:
-            growing = derived["growing_code"] = []
-        self._growing_code: list[bool] = growing
-        # code -> None, or an in-port-indexed list of the canonical filled
-        # characters: the §2.3.2 "change the * to j" rule applied once per
-        # (character, arrival port) pair instead of allocating per arrival.
-        fill = derived.get("fill_table")
-        if fill is None:
-            fill = derived["fill_table"] = []
-        self._fill_table: list[list[Char] | None] = fill
         # node -> code-indexed handler list (None = fall back to .handle),
         # resolved lazily on a node's first object-path delivery: with code
         # dispatch in front, most nodes never need one.
@@ -343,20 +300,6 @@ class FlatEngine(Engine):
                 )
                 self._fast_paths[node] = paths
                 proc._direct_sink, proc._direct_broadcast, proc._purge_hook = paths
-        # ---- the code-space kernel (compile-time character algebra) ----
-        # Every character operation the hot loop needs — fill, role, family,
-        # priority — is a pure function on the Lemma 5.2 census, precomputed
-        # by the CharKernel into dense tables whose codes coincide with the
-        # interner's (the interner is seeded from the kernel).  Per-node
-        # code handlers dispatch on those small ints and emit through the
-        # code sinks below, so a hot delivery never touches a Char object.
-        self._kernel = kernel = kernel_for(graph.delta)
-        self._kernel_fill = kernel.fill_rows          # per-code rows, len delta+1
-        # code -> (priority << PRIO_SHIFT) | code: the packed-entry base,
-        # table-indexed instead of dict-looked-up on the code fast path
-        self._code_base = [
-            (prio << PRIO_SHIFT) | code for code, prio in enumerate(kernel.prio_list)
-        ]
         #: node -> code-indexed list of code-space handlers, or None (object
         #: path).  Only nodes on the send-time fast path qualify — the code
         #: sinks schedule at send time, which is exactly the
@@ -392,11 +335,11 @@ class FlatEngine(Engine):
             self.processors,
             self._code_handlers,
             self._chars,
-            self._fill_table,
+            self._emitted_by_code,
             self.root,
             self.transcript.record_recv,
             self._chandlers,
-            self._kernel_fill,
+            self._kernel.fill_rows,
             self._kernel.n_codes,
         )
 
@@ -407,12 +350,16 @@ class FlatEngine(Engine):
         zeroed *in place* (the fast-path closures captured the list), and
         the send-time sink/broadcast/purge closures — cleared by each
         processor's re-attach — are re-installed.  The compiled topology,
-        interner, packed wheel dictionaries, fill table and code-handler
-        tables are exactly the artifacts reuse exists to keep.
+        character kernel and code-handler tables are exactly the artifacts
+        reuse exists to keep.
         """
         super().reset()
         emitted = self._emitted_by_code
         emitted[:] = [0] * len(emitted)
+        # another engine may have interned strays into the shared kernel
+        # since this one last grew: a send of one hits the kernel's
+        # identity map without passing this engine's growth check
+        self._grow_code_tables()
         processors = self.processors
         for node, paths in self._fast_paths.items():
             proc = processors[node]
@@ -473,16 +420,10 @@ class FlatEngine(Engine):
     # lazy growth when a character outside the constant alphabet appears
     # ------------------------------------------------------------------
     def _grow_code_tables(self) -> None:
-        self._extend_fill_table()  # may intern filled variants; runs first
         total = len(self._chars)
         grow = total - len(self._emitted_by_code)
         if grow > 0:
             self._emitted_by_code.extend([0] * grow)
-        growing = self._growing_code  # shared per interner: may be ahead
-        if len(growing) < total:
-            growing.extend(
-                char.kind in GROWING_KINDS for char in self._chars[len(growing):]
-            )
         for node, code_table in enumerate(self._code_handlers):
             if code_table is None:
                 continue  # not resolved yet; built to full size on demand
@@ -511,33 +452,17 @@ class FlatEngine(Engine):
         ]
         return code_table
 
-    def _extend_fill_table(self) -> None:
-        """Precompute canonical STAR-filled variants for new codes.
+    def _fill_stray(self, code: int, in_port: int) -> Char:
+        """The character stray ``code`` delivers as through ``in_port``.
 
-        Building a variant may itself intern a new canonical (a filled
-        tail is not part of the paper's alphabet census), growing
-        ``self._chars`` while we walk it — the while-loop chases the tail
-        until the table covers every code.  New canonicals are concrete
-        (no STAR), so the chase terminates after one generation.
+        The kernel fills a stray by the engine's rule and may intern the
+        filled variant on first sight; the per-code tables then grow to
+        cover it before a handler can re-emit it.
         """
-        table = self._fill_table
-        chars = self._chars
-        wheel = self._wheel
-        delta = self._topo.delta
-        # Only growing snakes and the DFS token are filled: those are the
-        # characters the protocol routes through :func:`fill_in_port`
-        # (dying snakes and tokens keep their recorded entries verbatim).
-        while len(table) < len(chars):
-            char = chars[len(table)]
-            if char.in_port == STAR and (is_growing(char) or char.kind == "DFS"):
-                variants: list[Char | None] = [None]
-                for in_port in range(1, delta + 1):
-                    filled = Char(char.kind, char.out_port, in_port, char.payload)
-                    code = wheel.encode_base(filled) & CODE_MASK
-                    variants.append(chars[code])
-                table.append(variants)
-            else:
-                table.append(None)
+        code = self._kernel.fill(code, in_port)
+        if code >= len(self._emitted_by_code):
+            self._grow_code_tables()
+        return self._chars[code]
 
     # ------------------------------------------------------------------
     # the data plane
@@ -574,14 +499,14 @@ class FlatEngine(Engine):
                 processors,
                 code_handlers,
                 chars,
-                fill_table,
+                emitted,
                 root,
                 record_recv,
                 live_chandlers,
                 kfill,
                 kn,
             ) = self._tick_locals
-            n_codes = len(fill_table)
+            n_codes = len(emitted)
             tracer = self.tracer
             lanes = bucket.lanes
             # the code-space kernel: per-tick gate — a tracer needs every
@@ -603,9 +528,7 @@ class FlatEngine(Engine):
                     # code-space delivery: fill is one indexed load, the
                     # handler dispatches on the small-int code, and only
                     # codes outside the kernel (lazily interned strays) or
-                    # without a code handler decode a Char.  The kernel
-                    # fill agrees with fill_table on every kernel code by
-                    # construction, so the fallback skips the object fill.
+                    # without a code handler decode a Char.
                     # begin_tick inlined (table install requires the base
                     # implementation); object-path bindings resolve lazily.
                     proc._tick = tick
@@ -623,12 +546,9 @@ class FlatEngine(Engine):
                         else:
                             if code >= n_codes:
                                 self._grow_code_tables()
-                                n_codes = len(fill_table)
+                                n_codes = len(emitted)
                                 handlers = None
-                            char = chars[code]
-                            fills = fill_table[code]
-                            if fills is not None:
-                                char = fills[in_port]
+                            char = self._fill_stray(code, in_port)
                         if handlers is None:
                             handlers = (
                                 code_handlers[node]
@@ -656,18 +576,19 @@ class FlatEngine(Engine):
                         # without passing the engine's intern path
                         self._grow_code_tables()
                         handlers = code_handlers[node]
-                        n_codes = len(fill_table)
+                        n_codes = len(emitted)
                     in_port = (packed >> port_shift) & port_mask
                     char = chars[code]
                     if is_root:
                         record_recv(tick, in_port, char)
                     if tracer is not None:
                         tracer.record_delivery(tick, node, in_port, char)
-                    fills = fill_table[code]
-                    if fills is not None:
-                        # §2.3.2 STAR fill, resolved to the canonical
-                        # instance once per (character, port) pair
-                        char = fills[in_port]
+                    # §2.3.2 STAR fill to the canonical instance, after the
+                    # root transcript has recorded the character as sent
+                    if code < kn:
+                        char = chars[kfill[code][in_port]]
+                    else:
+                        char = self._fill_stray(code, in_port)
                     handler = handlers[code]
                     if handler is None:
                         fallback(in_port, char)
@@ -869,7 +790,7 @@ class FlatEngine(Engine):
         ring = wheel._ring
         ticks = wheel._ticks
         emitted = self._emitted_by_code  # extended in place, never rebound
-        code_base = self._code_base
+        code_base = self._kernel.code_base
         chars = self._chars
 
         def csend(out_port: int, code: int, arrival: int) -> None:
@@ -922,7 +843,7 @@ class FlatEngine(Engine):
         ring = wheel._ring
         ticks = wheel._ticks
         emitted = self._emitted_by_code  # extended in place, never rebound
-        code_base = self._code_base
+        code_base = self._kernel.code_base
 
         def cbroadcast(code: int, arrival: int) -> None:
             emitted[code] += n_ports
@@ -970,7 +891,7 @@ class FlatEngine(Engine):
         wheel = self._wheel
         chars = self._chars
         emitted = self._emitted_by_code  # extended in place, never rebound
-        growing_code = self._growing_code  # idem
+        growing_code = self._kernel.growing_code  # extended by the kernel
         seq_field = ((1 << SEQ_BITS) - 1) << SEQ_SHIFT
 
         def purge(predicate) -> int:

@@ -137,10 +137,11 @@ class Processor(ABC):
 
         A backend that keeps deliveries as small-int character codes (the
         flat core) calls this at attach time with the compile-time
-        :class:`~repro.sim.characters.CharKernel`, the interner's
-        code→``Char`` list, and two code-space emitters — ``csend(out_port,
-        code, arrival_tick)`` and ``cbroadcast(code, arrival_tick)`` — that
-        schedule straight into its delivery queue.  The return value is a
+        :class:`~repro.sim.characters.CharKernel`, its code→``Char`` list
+        (``kernel.chars``, which grows as strays are interned), and two
+        code-space emitters — ``csend(out_port, code, arrival_tick)`` and
+        ``cbroadcast(code, arrival_tick)`` — that schedule straight into
+        its delivery queue.  The return value is a
         list indexed by character code whose entries are ``handler(in_port,
         code)`` callables or ``None`` (``None`` means: decode the character
         and take the object path for that delivery).  Returning ``None``

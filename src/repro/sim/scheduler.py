@@ -40,9 +40,12 @@ from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.sim.characters import (
-    DYING_FAMILIES,
-    GROWING_FAMILIES,
+    PRIORITY_CONTROL,
+    PRIORITY_DYING,
+    PRIORITY_GROWING,
+    PRIORITY_TOKEN,
     Char,
+    priority_of,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,29 +62,6 @@ __all__ = [
     "ActiveSet",
     "build_dispatch_tables",
 ]
-
-#: KILL/UNMARK must be seen before growing characters arriving the same
-#: tick so the speed-3 catch-up argument (Lemma 4.2) is exact.
-PRIORITY_CONTROL = 0
-#: Dying characters outrank growing ones so loop marking is never raced by
-#: the flood it is about to clean up.
-PRIORITY_DYING = 1
-PRIORITY_GROWING = 2
-#: DFS / FWD / BACK / BDONE and anything a test double invents.
-PRIORITY_TOKEN = 3
-
-
-def priority_of(kind: str) -> int:
-    """In-tick handling priority of a character kind; lower handles first."""
-    if kind in ("KILL", "UNMARK"):
-        return PRIORITY_CONTROL
-    if len(kind) == 3:
-        family = kind[:2]
-        if family in DYING_FAMILIES:
-            return PRIORITY_DYING
-        if family in GROWING_FAMILIES:
-            return PRIORITY_GROWING
-    return PRIORITY_TOKEN
 
 
 class _PriorityTable(dict):

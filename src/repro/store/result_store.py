@@ -18,9 +18,10 @@ campaign features for free:
   reuses every cell it shares with past runs, making large sweeps
   cumulative instead of repeated work.
 * **crash tolerance** — a process killed mid-append leaves at most one
-  torn final line per file; the loader detects and drops a truncated
-  trailing record and keeps everything before it.  Corruption anywhere
-  else raises :class:`~repro.errors.StoreError` loudly.
+  torn final line per file: every commit ends in a newline, so bytes after
+  a file's last newline are torn whatever they parse as.  The loader cuts
+  them off and keeps everything before them.  Corruption anywhere else
+  raises :class:`~repro.errors.StoreError` loudly.
 
 Duplicate keys are legal (append-only stores re-record on re-run); the
 last record wins, mirroring "latest run of this cell".  Stores written
@@ -140,6 +141,42 @@ def _is_retired(record: dict) -> bool:
     return isinstance(scenario, dict) and scenario.get("backend") in RETIRED_BACKENDS
 
 
+#: What :func:`_scan_shard` yields for a file's torn final line.
+_TORN = object()
+
+
+def _scan_shard(shard: Path) -> Iterator[tuple[int, int, object]]:
+    """Decode one shard file line by line: ``(lineno, offset, item)``.
+
+    ``lineno`` is 1-based and ``offset`` is the line's first byte.  ``item``
+    is ``(key, result)`` for a record, ``(key, None)`` for a record of a
+    retired backend, the decoding error for a corrupt line, or
+    :data:`_TORN` for the bytes after the file's last newline.  Those are
+    torn whatever they parse as: every commit ends in a newline, so an
+    unterminated line is a commit cut short, and the next commit would
+    weld its first record onto it.
+    """
+    lines = shard.read_bytes().split(b"\n")
+    offset = 0
+    for lineno, raw in enumerate(lines, 1):
+        start = offset
+        offset += len(raw) + 1
+        if not raw.strip():
+            continue
+        if lineno == len(lines):
+            yield lineno, start, _TORN
+            continue
+        try:
+            record = json.loads(raw)
+            key = record["key"]
+            retired = _is_retired(record)
+            result = None if retired else result_from_doc(record["result"])
+        except (json.JSONDecodeError, KeyError, TypeError, StoreError) as exc:
+            yield lineno, start, exc
+            continue
+        yield lineno, start, (key, result)
+
+
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
@@ -193,32 +230,19 @@ class ResultStore:
             self._load_shard(shard)
 
     def _load_shard(self, shard: Path) -> None:
-        data = shard.read_bytes()
-        lines = data.split(b"\n")
-        for lineno, raw in enumerate(lines):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-                key = record["key"]
-                if _is_retired(record):
-                    continue
-                result = result_from_doc(record["result"])
-            except (json.JSONDecodeError, KeyError, TypeError, StoreError) as exc:
-                if lineno == len(lines) - 1:
-                    # A torn final line is the expected signature of a run
-                    # killed mid-append: records are single sequential
-                    # writes ending in a newline, so a partial write can
-                    # only be an unterminated last line.  Truncate it away
-                    # so the next append starts on a clean boundary — the
-                    # fragment must not survive for a later put() to weld
-                    # a new record onto.
-                    os.truncate(shard, len(data) - len(raw))
-                    continue
+        for lineno, offset, item in _scan_shard(shard):
+            if item is _TORN:
+                # the expected signature of a run killed mid-append: cut it
+                # away so the next append starts on a clean boundary
+                os.truncate(shard, offset)
+            elif isinstance(item, Exception):
                 raise StoreError(
-                    f"corrupt record at {shard.name}:{lineno + 1}: {exc}"
-                ) from exc
-            self._index[key] = result
+                    f"corrupt record at {shard.name}:{lineno}: {item}"
+                ) from item
+            else:
+                key, result = item
+                if result is not None:  # None: a retired backend's record
+                    self._index[key] = result
 
     # -- writes ----------------------------------------------------------
     def put(self, result: ScenarioResult) -> str:
@@ -347,8 +371,8 @@ class StoreVerifyReport:
     ``problems`` are records that cannot be trusted — unparseable JSON in
     the middle of a file, a record that fails deserialization, or a key
     that does not match the stored scenario's recomputed spec hash.
-    ``torn`` entries are truncated *final* lines: the expected signature of
-    a run killed mid-append, reported as warnings (the loader drops them
+    ``torn`` entries are unterminated *final* lines: the expected signature
+    of a run killed mid-append, reported as warnings (the loader drops them
     safely) rather than corruption.  ``retired`` counts records of a
     :data:`RETIRED_BACKENDS` backend, which the loader skips.
     """
@@ -421,23 +445,17 @@ def verify_result_store(root: str | os.PathLike) -> StoreVerifyReport:
     seen: set[str] = set()
     for shard in sorted((root / "shards").glob("*.jsonl")):
         report.shards += 1
-        lines = shard.read_bytes().split(b"\n")
-        for lineno, raw in enumerate(lines):
-            if not raw.strip():
+        for lineno, _, item in _scan_shard(shard):
+            where = f"{shard.name}:{lineno}"
+            if item is _TORN:
+                report.torn.append(f"{where}: truncated final line")
                 continue
-            where = f"{shard.name}:{lineno + 1}"
-            try:
-                record = json.loads(raw)
-                key = record["key"]
-                if _is_retired(record):
-                    report.retired += 1
-                    continue
-                result = result_from_doc(record["result"])
-            except (json.JSONDecodeError, KeyError, TypeError, StoreError) as exc:
-                if lineno == len(lines) - 1:
-                    report.torn.append(f"{where}: truncated final line")
-                else:
-                    report.problems.append(f"{where}: {exc}")
+            if isinstance(item, Exception):
+                report.problems.append(f"{where}: {item}")
+                continue
+            key, result = item
+            if result is None:
+                report.retired += 1
                 continue
             report.records += 1
             if key != result.scenario.spec_hash():

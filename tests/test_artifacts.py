@@ -247,7 +247,7 @@ class TestValidation:
 class TestWiringOnly:
     def test_compile_publish_load_builds_no_kernel(self, library):
         graph = _graph()
-        characters.clear_interner_cache()
+        characters.clear_kernel_cache()
         topo = compile_topology(graph)
         library.publish(graph, topo)
         assert library.load(graph) is not None
@@ -266,25 +266,16 @@ class TestWiringOnly:
 # ----------------------------------------------------------------------
 # migration from the retired layouts
 # ----------------------------------------------------------------------
-#: The six wiring tables every layout starts with, then the kernel tables
-#: v2 appended and the transition tensor v3 appended — written out here so
+#: The six wiring tables every layout starts with — written out here so
 #: the test does not trust the code under test.
 _WIRING = ("wire_dst", "wire_in_port", "out_start", "out_ports", "in_start", "in_ports")
-_KERNEL_V2 = (
-    "char_flags",
-    "char_family",
-    "char_role",
-    "char_out_port",
-    "char_in_port",
-    "char_fill",
-    "char_convert",
-)
 
-#: version -> (header struct, table names in payload order)
+#: version -> header struct.  v2 appended seven kernel tables to the
+#: wiring, and v3 appended the transition tensor after them.
 _RETIRED = {
-    1: (struct.Struct("<8sII4Q6QII"), _WIRING),
-    2: (struct.Struct("<8sII5Q13QII"), _WIRING + _KERNEL_V2),
-    3: (struct.Struct("<8sII5Q14QII"), _WIRING + _KERNEL_V2 + ("char_trans",)),
+    1: struct.Struct("<8sII4Q6QII"),
+    2: struct.Struct("<8sII5Q13QII"),
+    3: struct.Struct("<8sII5Q14QII"),
 }
 
 
@@ -309,10 +300,19 @@ def _retired_key(graph, version: int) -> str:
 
 def _dump_retired(graph, version: int) -> bytes:
     """Serialize ``graph`` in the retired format-``version`` layout."""
-    header, names = _RETIRED[version]
+    header = _RETIRED[version]
     topo = compile_topology(graph)
     kernel = characters.kernel_for(graph.delta)
-    tables = [getattr(topo if name in _WIRING else kernel, name) for name in names]
+    tables = [getattr(topo, name) for name in _WIRING]
+    if version >= 2:
+        # The kernel no longer builds the seven v2 tables, so they are
+        # zero stand-ins of their retired lengths: five one-per-code
+        # tables, the fill table over delta + 1 in-ports, and the convert
+        # table over the six snake families.
+        widths = (1, 1, 1, 1, 1, graph.delta + 1, 6)
+        tables += [[0] * (kernel.n_codes * width) for width in widths]
+    if version >= 3:
+        tables.append(kernel.char_trans)
     payload = b"".join(_le_bytes(t) for t in tables)
     census = characters.alphabet_size(graph.delta)
     # v1 recorded the census without the blank; v2/v3 added the kernel size

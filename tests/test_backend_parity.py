@@ -100,6 +100,8 @@ def test_single_rca_parity(initiator):
 
 
 def test_single_bca_parity():
+    # the default message "PING" rides on a BD tail outside the kernel's
+    # code space, so this also covers the flat engine's stray delivery
     graph = generators.bidirectional_ring(8)
     obj = run_single_bca(graph, 3, 1, backend="object")
     flat = run_single_bca(graph, 3, 1, backend="flat")
@@ -107,6 +109,10 @@ def test_single_bca_parity():
     assert obj.initiator_done_at == flat.initiator_done_at
     assert obj.target_resumed_at == flat.target_resumed_at
     assert obj.ticks == flat.ticks
+    assert transcript_bytes(obj.engine.transcript) == transcript_bytes(
+        flat.engine.transcript
+    )
+    assert obj.engine.metrics.delivered == flat.engine.metrics.delivered
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from repro.dynamics.experiment import compile_timeline, run_dynamic_gtd
 from repro.protocol.bca import run_single_bca
 from repro.protocol.rca import run_single_rca
 from repro.protocol.runner import determine_topology
-from repro.sim.characters import CharInterner, clear_interner_cache, interner_for
+from repro.sim.characters import CharKernel, clear_kernel_cache, kernel_for
 from repro.sim.run import ENGINE_BACKENDS, EnginePool
 from repro.topology import generators
 from repro.topology.compile import (
@@ -117,19 +117,21 @@ class TestCompiledCache:
 
 
 class TestInternerCache:
+    """The character kernel is the one per-delta interner."""
+
     def test_shared_per_delta(self):
-        assert interner_for(3) is interner_for(3)
-        assert interner_for(3) is not interner_for(4)
+        assert kernel_for(3) is kernel_for(3)
+        assert kernel_for(3) is not kernel_for(4)
 
     def test_shared_interner_matches_fresh_enumeration(self):
-        shared = interner_for(2)
-        fresh = CharInterner(2)
+        shared = kernel_for(2)
+        fresh = CharKernel(2)
         assert shared.chars[: len(fresh.chars)] == fresh.chars
 
     def test_cache_clear(self):
-        before = interner_for(3)
-        clear_interner_cache()
-        assert interner_for(3) is not before
+        before = kernel_for(3)
+        clear_kernel_cache()
+        assert kernel_for(3) is not before
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +248,22 @@ def test_bca_episode_loop_reuses_one_engine(backend):
         assert fresh.target_resumed_at == pooled.target_resumed_at
         assert fresh.ticks == pooled.ticks
     assert pool.misses == 1 and pool.hits == 2
+
+
+def test_pooled_engine_sends_a_stray_interned_after_it_was_built():
+    # the shared kernel may intern a stray message after a pooled engine
+    # was built; the reused engine must still count it when it sends it
+    clear_kernel_cache()
+    graph = generators.bidirectional_ring(8)
+    pool = EnginePool()
+    run_single_bca(graph, 3, 1, backend="flat", message="EARLY", pool=pool)
+    fresh = run_single_bca(graph, 3, 1, backend="flat", message="LATE")
+    pooled = run_single_bca(graph, 3, 1, backend="flat", message="LATE", pool=pool)
+    assert pool.hits == 1
+    assert transcript_bytes(fresh.engine.transcript) == transcript_bytes(
+        pooled.engine.transcript
+    )
+    assert fresh.engine.metrics.delivered == pooled.engine.metrics.delivered
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The compiled flat-core backend: CSR lowering, interning, packed wheel."""
+"""The compiled flat-core backend: CSR lowering, the code space, packed wheel."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro.protocol.gtd import GTDProcessor
 from repro.protocol.rca import run_single_rca
 from repro.sim.characters import (
     Char,
-    CharInterner,
+    CharKernel,
     alphabet_size,
     enumerate_alphabet,
     make_body,
@@ -86,20 +86,37 @@ class TestAlphabet:
             enumerate_alphabet(1)
 
     def test_interner_round_trips_whole_alphabet(self):
-        interner = CharInterner(3)
-        for char in list(interner.chars):
-            code = interner.encode(char)
-            assert interner.decode(code) == char
-            assert interner.decode(code) is interner.decode(code)  # canonical
+        kernel = CharKernel(3)
+        for char in list(kernel.chars):
+            code = kernel.encode(char)
+            assert kernel.decode(code) == char
+            assert kernel.decode(code) is kernel.decode(code)  # canonical
 
     def test_interner_handles_unknown_characters(self):
-        interner = CharInterner(2)
-        size_before = len(interner)
+        kernel = CharKernel(2)
+        size_before = len(kernel.chars)
         exotic = Char("BDT", payload="PING")  # payload outside the census
-        code = interner.encode(exotic)
+        code = kernel.encode(exotic)
         assert code == size_before
-        assert interner.decode(code) == exotic
-        assert interner.encode(Char("BDT", payload="PING")) == code  # stable
+        assert kernel.decode(code) == exotic
+        assert kernel.encode(Char("BDT", payload="PING")) == code  # stable
+        # the stray extends every per-code list; the fixed tables stay put
+        assert kernel.code_base[code] == (KIND_PRIORITY["BDT"] << PRIO_SHIFT) | code
+        assert kernel.base_of[exotic] == kernel.id_base[id(exotic)]
+        assert kernel.growing_code[code] is False
+        assert len(kernel.fill_rows) == kernel.n_codes == size_before
+
+    def test_stray_fill_follows_the_engine_rule(self):
+        kernel = CharKernel(2)
+        growing = kernel.encode(Char("BGT", payload="PING"))
+        dying = kernel.encode(Char("BDH", 1, payload="PING"))
+        filled = kernel.fill(growing, 2)
+        assert kernel.decode(filled) == Char("BGT", 0, 2, "PING")
+        assert kernel.fill(growing, 2) == filled  # interned once
+        # dying snakes are delivered verbatim, unlike fill_in_port
+        assert kernel.fill(dying, 2) == dying
+        for code in range(kernel.n_codes):
+            assert kernel.fill(code, 1) == kernel.fill_rows[code][1]
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +129,7 @@ def _kinds_of(wheel: PackedEventWheel, bucket, node: int) -> list[str]:
 
 class TestPackedEventWheel:
     def test_sort_order_is_priority_then_port_then_fifo(self):
-        wheel = PackedEventWheel(CharInterner(2))
+        wheel = PackedEventWheel(CharKernel(2))
         wheel.schedule(5, 0, 2, Char("DFS"))
         wheel.schedule(5, 0, 1, Char("IGH"))
         wheel.schedule(5, 0, 1, Char("KILL"))
@@ -121,7 +138,7 @@ class TestPackedEventWheel:
         assert _kinds_of(wheel, bucket, 0) == ["KILL", "IDH", "IGH", "DFS"]
 
     def test_fifo_breaks_ties_within_port_and_priority(self):
-        wheel = PackedEventWheel(CharInterner(2))
+        wheel = PackedEventWheel(CharKernel(2))
         first = make_body("IG", 1)
         second = make_body("IG", 2)
         wheel.schedule(3, 7, 1, first)
@@ -132,7 +149,7 @@ class TestPackedEventWheel:
         assert chars == [first, second]
 
     def test_packed_entry_fields_round_trip(self):
-        wheel = PackedEventWheel(CharInterner(3))
+        wheel = PackedEventWheel(CharKernel(3))
         wheel.schedule(1, 4, 3, Char("UNMARK", payload="RCA"))
         bucket = wheel.pop(1)
         packed = bucket.lanes[4][0]
@@ -141,7 +158,7 @@ class TestPackedEventWheel:
         assert packed >> PRIO_SHIFT == KIND_PRIORITY["UNMARK"]
 
     def test_next_tick_and_emptiness(self):
-        wheel = PackedEventWheel(CharInterner(2))
+        wheel = PackedEventWheel(CharKernel(2))
         assert wheel.next_tick() is None
         wheel.schedule(9, 0, 1, Char("DFS"))
         wheel.schedule(4, 1, 1, Char("DFS"))
@@ -153,7 +170,7 @@ class TestPackedEventWheel:
         assert not wheel
 
     def test_in_flight_lists_all_scheduled(self):
-        wheel = PackedEventWheel(CharInterner(2))
+        wheel = PackedEventWheel(CharKernel(2))
         wheel.schedule(1, 0, 1, Char("DFS"))
         wheel.schedule(2, 3, 1, Char("KILL"))
         assert sorted(node for node, _ in wheel.in_flight()) == [0, 3]
@@ -162,7 +179,7 @@ class TestPackedEventWheel:
         assert kinds == ["DFS", "KILL"]
 
     def test_recycled_bucket_is_reused(self):
-        wheel = PackedEventWheel(CharInterner(2))
+        wheel = PackedEventWheel(CharKernel(2))
         wheel.schedule(1, 0, 1, Char("DFS"))
         bucket = wheel.pop(1)
         wheel.recycle(bucket)

@@ -1,12 +1,12 @@
 """The compile-time character kernel (:class:`repro.sim.characters.CharKernel`).
 
-Exhaustive parity between the dense code-space tables and the object-path
-character functions they replace: every code of the Lemma 5.2 census
-(plus the filled-tail closure), every in-port of the fill table, every
-family column of the convert table, every predicate bit — checked against
-``is_snake``/``is_growing``/``is_dying``/``snake_family``/``snake_role``/
-``fill_in_port``/``convert``/``speed_of`` directly — and every row of the
-``char_trans`` transition program, executed against the object-path
+Exhaustive parity between the code-space lists the flat engine reads and
+the object-path character functions they replace: every code of the
+Lemma 5.2 census (plus the filled-tail closure), every in-port of the fill
+rows, every role, growing flag, packed priority and handler slot — checked
+against ``is_snake``/``is_growing``/``snake_family``/``snake_role``/
+``fill_in_port`` and the scheduler's priorities directly — and every row of
+the ``char_trans`` transition program, executed against the object-path
 automaton.  Also pins the externally visible automaton phase labels
 (IntEnum-backed).  The kernel is a per-process function of ``delta``; the
 artifact-library migration of the retired kernel-carrying formats lives
@@ -21,19 +21,7 @@ from repro.protocol.automaton import ProtocolProcessor, _BcaPhase, _RcaPhase, _R
 from repro.sim.engine import NodeContext
 from repro.sim.characters import (
     GROWING_FAMILIES,
-    KFLAG_BODY,
-    KFLAG_DYING,
-    KFLAG_FILLS,
-    KFLAG_GROWING,
-    KFLAG_HEAD,
-    KFLAG_SCOPE_BCA,
-    KFLAG_SCOPE_RCA,
-    KFLAG_SNAKE,
-    KFLAG_SPEED3,
-    KFLAG_TAIL,
-    KPRIO_MASK,
-    KPRIO_SHIFT,
-    SCOPE_BCA,
+    PRIO_SHIFT,
     SCOPE_RCA,
     SNAKE_FAMILIES,
     STAR,
@@ -47,14 +35,12 @@ from repro.sim.characters import (
     TRANS_PHASE_SHIFT,
     TRANS_PORT_MASK,
     TRANS_PORT_SHIFT,
-    Char,
+    CharKernel,
     alphabet_size,
-    convert,
     dying_phase,
     enumerate_alphabet,
     fill_in_port,
     growing_esc_phase,
-    is_dying,
     is_growing,
     is_snake,
     kernel_alphabet,
@@ -63,7 +49,6 @@ from repro.sim.characters import (
     n_phases,
     snake_family,
     snake_role,
-    speed_of,
 )
 from repro.sim.scheduler import KIND_PRIORITY
 
@@ -122,12 +107,14 @@ class TestPhaseLabels:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("delta", DELTAS)
 class TestKernelParity:
+    """Each test builds its own kernel: the shared one may hold strays."""
+
     def test_census_prefix_and_closure(self, delta):
-        kernel = kernel_for(delta)
+        kernel = CharKernel(delta)
         census = enumerate_alphabet(delta)
         assert kernel.n_codes == kernel_size(delta)
         assert kernel.n_codes == len(kernel.chars)
-        # census codes come first, unchanged, so interner codes line up
+        # census codes come first, unchanged
         assert list(kernel.chars[: len(census)]) == census
         # the closure adds exactly the filled growing tails
         extra = kernel.chars[len(census):]
@@ -136,60 +123,46 @@ class TestKernelParity:
             assert snake_role(char) == "T"
             assert snake_family(char) in GROWING_FAMILIES
             assert char.in_port != STAR
-        # every table entry is a valid code (the closure property)
-        for table in (kernel.char_fill, kernel.char_convert):
-            for value in table:
-                assert -1 <= value < kernel.n_codes
-        assert len(kernel.char_fill) == kernel.n_codes * (delta + 1)
-        assert len(kernel.char_convert) == kernel.n_codes * 6
+        # every fill entry is a valid code (the closure property)
+        assert len(kernel.fill_rows) == kernel.n_codes
+        for row in kernel.fill_rows:
+            assert len(row) == delta + 1
+            assert all(0 <= value < kernel.n_codes for value in row)
 
     def test_predicate_flags_match_object_predicates(self, delta):
-        kernel = kernel_for(delta)
+        # the per-code predicates the engine reads: the purge hook's
+        # growing flag and the code handlers' role list
+        kernel = CharKernel(delta)
         for code, char in enumerate(kernel.chars):
-            flags = kernel.char_flags[code]
-            assert bool(flags & KFLAG_SNAKE) == is_snake(char), char
-            assert bool(flags & KFLAG_GROWING) == is_growing(char), char
-            assert bool(flags & KFLAG_DYING) == is_dying(char), char
-            assert bool(flags & KFLAG_HEAD) == (
-                is_snake(char) and snake_role(char) == "H"
-            ), char
-            assert bool(flags & KFLAG_BODY) == (
-                is_snake(char) and snake_role(char) == "B"
-            ), char
-            assert bool(flags & KFLAG_TAIL) == (
-                is_snake(char) and snake_role(char) == "T"
-            ), char
-            assert bool(flags & KFLAG_SPEED3) == (speed_of(char) == 3), char
-            assert bool(flags & KFLAG_SCOPE_RCA) == (
-                speed_of(char) == 3 and char.payload == SCOPE_RCA
-            ), char
-            assert bool(flags & KFLAG_SCOPE_BCA) == (
-                speed_of(char) == 3 and char.payload == SCOPE_BCA
-            ), char
+            assert kernel.growing_code[code] == is_growing(char), char
+            expected = "HBT".index(snake_role(char)) if is_snake(char) else -1
+            assert kernel.role_list[code] == expected, char
 
     def test_priority_bits_match_scheduler(self, delta):
-        kernel = kernel_for(delta)
+        kernel = CharKernel(delta)
         for code, char in enumerate(kernel.chars):
-            prio = (kernel.char_flags[code] >> KPRIO_SHIFT) & KPRIO_MASK
-            assert prio == KIND_PRIORITY[char.kind], char
-            assert kernel.prio_list[code] == prio
+            base = kernel.code_base[code]
+            assert base >> PRIO_SHIFT == KIND_PRIORITY[char.kind], char
+            assert base & ((1 << PRIO_SHIFT) - 1) == code
+            assert kernel.base_of[char] == base
+            assert kernel.id_base[id(char)] == base
 
     def test_family_role_and_port_tables(self, delta):
-        kernel = kernel_for(delta)
+        # snakes: the handler slot is the family index, the role list the
+        # role; ports ride in the codes themselves (see the fill rows)
+        kernel = CharKernel(delta)
         for code, char in enumerate(kernel.chars):
             if is_snake(char):
                 assert (
-                    SNAKE_FAMILIES[kernel.char_family[code]]
+                    SNAKE_FAMILIES[kernel.handler_plan[code]]
                     == snake_family(char)
                 ), char
                 assert (
-                    "HBT"[kernel.char_role[code]] == snake_role(char)
+                    "HBT"[kernel.role_list[code]] == snake_role(char)
                 ), char
             else:
-                assert kernel.char_family[code] == -1, char
-                assert kernel.char_role[code] == -1, char
-            assert kernel.char_out_port[code] == char.out_port
-            assert kernel.char_in_port[code] == char.in_port
+                assert kernel.handler_plan[code] not in range(6), char
+                assert kernel.role_list[code] == -1, char
 
     def test_fill_table_every_code_every_in_port(self, delta):
         """``(code, in_port) -> code`` fill-in vs §2.3.2 engine semantics.
@@ -198,17 +171,12 @@ class TestKernelParity:
         is ``*``; everything else — including ``*``-ported *dying* codes,
         which both backends deliver verbatim — maps to itself.
         """
-        kernel = kernel_for(delta)
+        kernel = CharKernel(delta)
         for code, char in enumerate(kernel.chars):
             engine_fills = char.in_port == STAR and (
                 is_growing(char) or char.kind == "DFS"
             )
-            assert bool(kernel.char_flags[code] & KFLAG_FILLS) == engine_fills
             row = kernel.fill_rows[code]
-            assert list(row) == [
-                kernel.char_fill[code * (delta + 1) + j]
-                for j in range(delta + 1)
-            ]
             assert row[STAR] == code  # row 0 is always the identity
             for j in range(1, delta + 1):
                 if engine_fills:
@@ -217,40 +185,8 @@ class TestKernelParity:
                     expected = code
                 assert row[j] == expected, (char, j)
 
-    def test_convert_table_every_code_every_family(self, delta):
-        kernel = kernel_for(delta)
-        for code, char in enumerate(kernel.chars):
-            for fi, family in enumerate(SNAKE_FAMILIES):
-                got = kernel.char_convert[code * 6 + fi]
-                if not is_snake(char):
-                    assert got == -1, (char, family)
-                    continue
-                target = convert(char, family)
-                expected = kernel.codes.get(target, -1)
-                assert got == expected, (char, family)
-                if got >= 0:
-                    assert kernel.chars[got] == target
-
-    def test_convert_covers_the_protocol_rebrandings(self, delta):
-        """The wirings the automaton actually uses never fall to -1."""
-        kernel = kernel_for(delta)
-        pairs = [("IG", "OG"), ("OG", "ID"), ("ID", "OD"), ("BG", "BD")]
-        for src, dst in pairs:
-            fi = SNAKE_FAMILIES.index(dst)
-            for code, char in enumerate(kernel.chars):
-                if is_snake(char) and snake_family(char) == src:
-                    if snake_role(char) == "T" and (
-                        char.payload is not None or char.in_port != STAR
-                    ):
-                        # payloaded and engine-filled tails convert to
-                        # characters outside the code space; those
-                        # conversions run on the object path, so -1 is
-                        # the correct entry
-                        continue
-                    assert kernel.char_convert[code * 6 + fi] >= 0, (char, dst)
-
     def test_handler_plan_classification(self, delta):
-        kernel = kernel_for(delta)
+        kernel = CharKernel(delta)
         for code, char in enumerate(kernel.chars):
             slot = kernel.handler_plan[code]
             if is_snake(char):
@@ -265,20 +201,8 @@ class TestKernelParity:
             else:
                 assert slot == -1, char
 
-    def test_as_head_and_body_codes(self, delta):
-        kernel = kernel_for(delta)
-        for code, char in enumerate(kernel.chars):
-            promoted = kernel.as_head_list[code]
-            if is_snake(char) and snake_role(char) == "B":
-                head = Char(
-                    snake_family(char) + "H",
-                    char.out_port,
-                    char.in_port,
-                    char.payload,
-                )
-                assert promoted == kernel.codes.get(head, -1)
-            else:
-                assert promoted == -1
+    def test_body_codes(self, delta):
+        kernel = CharKernel(delta)
         for fi, family in enumerate(SNAKE_FAMILIES):
             row = kernel.body_codes[fi]
             assert row[0] == -1
@@ -290,26 +214,18 @@ class TestKernelParity:
                 assert body.in_port == STAR
 
     def test_tables_roundtrip_to_kernel_alphabet(self, delta):
-        # the eight named tables are sized by the closed code space
-        kernel = kernel_for(delta)
+        # the fixed tables are sized by the closed code space
+        kernel = CharKernel(delta)
         tables = (
-            kernel.char_flags,
-            kernel.char_family,
-            kernel.char_role,
-            kernel.char_out_port,
-            kernel.char_in_port,
-            kernel.char_fill,
-            kernel.char_convert,
+            kernel.role_list,
+            kernel.fill_rows,
+            kernel.handler_plan,
             kernel.char_trans,
         )
         assert [len(t) for t in tables] == [
             kernel.n_codes,
             kernel.n_codes,
             kernel.n_codes,
-            kernel.n_codes,
-            kernel.n_codes,
-            kernel.n_codes * (delta + 1),
-            kernel.n_codes * 6,
             kernel.n_codes * (delta + 1) * n_phases(delta),
         ]
         assert kernel_alphabet(delta) == list(kernel.chars)
@@ -333,6 +249,11 @@ def _fresh_processor(delta: int) -> ProtocolProcessor:
     proc.attach(NodeContext(1, False, ports, ports, lambda label, data: None))
     proc.begin_tick(_TICK)
     return proc
+
+
+def _family_index(char) -> int:
+    """The snake family bank of ``char``, or -1 for a token."""
+    return SNAKE_FAMILIES.index(snake_family(char)) if is_snake(char) else -1
 
 
 def _stored_rows(kernel, code: int, in_port: int) -> list[int]:
@@ -404,7 +325,7 @@ class TestTransitionTableParity:
         for code in range(kernel.n_codes):
             # non-snake codes (family -1) have all-escape planes, so their
             # bank is never read
-            bank = kernel.char_family[code]
+            bank = _family_index(kernel.chars[code])
             for in_port in range(1, delta + 1):
                 fc = kernel.fill_rows[code][in_port]
                 for phase, row in enumerate(_stored_rows(kernel, code, in_port)):
@@ -458,7 +379,7 @@ class TestTransitionTableParity:
         esc = growing_esc_phase(delta)
         escapes = 0
         for code in range(kernel.n_codes):
-            fam = kernel.char_family[code]
+            fam = _family_index(kernel.chars[code])
             for in_port in range(delta + 1):
                 rows = _stored_rows(kernel, code, in_port)
                 assert len(rows) == P
@@ -473,7 +394,7 @@ class TestTransitionTableParity:
                     # in-port 0 never occurs as a delivery port
                     assert all(r < 0 for r in rows), code
                     continue
-                filled_role = kernel.char_role[kernel.fill_rows[code][in_port]]
+                filled_role = kernel.role_list[kernel.fill_rows[code][in_port]]
                 if fam in _BANK_MARKS:
                     # interception (root / active RCA / active BCA) escapes,
                     # as does everything past the growing phase range

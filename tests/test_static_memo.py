@@ -116,3 +116,22 @@ def test_seed_sweep_store_is_invariant_in_jobs_and_resume(tmp_path):
     resumed = executor.run_campaign(spec, jobs=1, store=tmp_path / "serial")
     assert resumed.results == serial.results
     assert resumed.stats().to_json() == serial.stats().to_json()
+
+
+def test_static_only_sweep_makes_no_pool_checkouts():
+    # the static memo runs each (graph, backend) once per worker, so a
+    # pooled static engine would never be checked out again
+    spec = CampaignSpec(
+        families=("de-bruijn", "directed-ring"),
+        sizes=(8,),
+        faults=("none", "shutdown:0.1"),
+        seeds=(0, 1),
+        backends=("flat", "object"),
+    )
+    executor.clear_scenario_caches()
+    executor.run_campaign(spec, jobs=1)
+    pool = executor._ENGINE_POOL
+    assert pool.hits + pool.misses == 0
+    # dynamic cells still draw from the pool
+    executor.run_scenario(replace(spec.scenarios()[0], fault="cut:0.5"))
+    assert pool.misses > 0

@@ -26,7 +26,7 @@ from repro.bench.baseline import (
 )
 from repro.campaigns import CampaignSpec, Scenario, run_campaign, run_scenario
 from repro.cli import main
-from repro.errors import BaselineError, ReproError, StoreError
+from repro.errors import BaselineError, StoreError
 from repro.store import (
     ResultStore,
     result_from_doc,
@@ -183,6 +183,26 @@ class TestResultStore:
         # ...and the store stays readable forever after
         third = ResultStore(tmp_path / "run")
         assert len(third) == 2 and third.get(keys[1]) == results[1]
+
+    def test_commit_cut_before_its_final_newline_is_torn(self, tmp_path):
+        store = ResultStore(tmp_path / "run")
+        results = [run_scenario(s) for s in SPEC.scenarios()[:3]]
+        keys = store.put_many(results[:2])
+        # a kill between the batch's last record and its closing newline
+        # leaves a final line that still parses
+        shard = tmp_path / "run" / "shards" / "log.jsonl"
+        shard.write_bytes(shard.read_bytes()[:-1])
+        report = verify_result_store(tmp_path / "run")
+        assert report.ok and report.records == 1 and len(report.torn) == 1
+        reopened = ResultStore(tmp_path / "run")
+        assert len(reopened) == 1 and keys[1] not in reopened
+        # the cut record was truncated away, so the next commit cannot
+        # weld its first record onto it
+        reopened.put(results[2])
+        third = ResultStore(tmp_path / "run")
+        assert len(third) == 2
+        assert third.get(keys[0]) == results[0]
+        assert third.get(results[2].scenario) == results[2]
 
     def test_non_object_json_line_is_store_error(self, tmp_path):
         store = ResultStore(tmp_path / "run")
