@@ -399,11 +399,24 @@ class Scenario:
         Computed over :data:`SPEC_HASH_FORMAT` plus the canonical JSON form
         (sorted keys, minimal separators), so it is stable across processes,
         interpreter invocations and ``PYTHONHASHSEED`` — unlike ``hash()``.
-        The result store indexes by this key.
+        The result store indexes by this key.  It is computed once per
+        instance and kept in a private attribute, not a field, so ``==``,
+        ``hash()`` and ``repr()`` do not see it.
         """
+        try:
+            return self._spec_hash
+        except AttributeError:
+            pass
         payload = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(f"{SPEC_HASH_FORMAT}\n{payload}".encode())
-        return digest.hexdigest()
+        digest = hashlib.sha256(f"{SPEC_HASH_FORMAT}\n{payload}".encode()).hexdigest()
+        object.__setattr__(self, "_spec_hash", digest)
+        return digest
+
+    def __getstate__(self) -> dict:
+        # The hash memo stays behind, so a scenario unpickled from a worker
+        # derives its store key from its own fields: the supervisor checks
+        # a returned scenario by ``==``, which the memo does not take part in.
+        return {k: v for k, v in self.__dict__.items() if k != "_spec_hash"}
 
     def build_graph(self) -> PortGraph:
         """The healthy (pre-fault) network for this scenario."""

@@ -14,8 +14,9 @@ Subcommands:
   re-runs skip every previously-seen compile;
 * ``store`` — inspect a result store: record count, outcome counts, and
   the aggregate statistics mined from its JSONL shards; ``--verify``
-  runs an offline integrity scan of the shards (keys re-checked against
-  recomputed spec hashes); with ``--artifacts`` the directory is a
+  runs an offline integrity scan of the shards (payload bodies
+  re-checked against their digests, keys against recomputed spec
+  hashes); with ``--artifacts`` the directory is a
   compiled-artifact library instead (``--verify`` validates every
   artifact, ``--gc [--keep-mb MB]`` removes invalid ones and evicts to
   a byte budget);
@@ -225,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_store.add_argument(
         "--verify", action="store_true",
         help="offline integrity scan; exit 1 on corruption.  For a result "
-        "store: parse every shard record and check its key against the "
-        "recomputed spec hash (torn trailing lines are warnings).  With "
+        "store: parse every shard line, check each payload against its "
+        "digest and each record's key against the recomputed spec hash "
+        "(torn trailing lines are warnings).  With "
         "--artifacts: fully validate every artifact (checksums, versions)",
     )
     p_store.add_argument(

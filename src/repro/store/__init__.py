@@ -6,7 +6,8 @@ Two stores live here, both content-addressed and crash-tolerant:
   scenario is appended to a JSONL commit log under a key derived from the
   scenario's canonical spec (family, size, fault, seed), so crashed
   sweeps resume where they stopped and overlapping matrices reuse every
-  cell they share with past runs.
+  cell they share with past runs.  Each distinct result body is stored
+  once, under the digest of its content, and cells name it.
 * :mod:`repro.store.artifacts` — compiled *topologies*: the on-disk tier
   below the process-wide ``compiled_topology()`` cache, serving
   ``mmap``-shared CSR tables keyed by graph-spec hash × compiler version

@@ -72,6 +72,7 @@ __all__ = [
     "load_artifact",
     "configure_artifact_library",
     "active_artifact_library",
+    "write_atomically",
 ]
 
 
@@ -286,6 +287,28 @@ def load_artifact(path: str | os.PathLike) -> CompiledTopology:
     return topo
 
 
+def write_atomically(path: Path, data: bytes, prefix: str) -> None:
+    """Put ``data`` at ``path`` so readers see the old file or the new one.
+
+    The bytes are written to a temp file (named ``prefix`` + random +
+    ``.tmp``) in the destination directory, fsynced, then
+    :func:`os.replace`\\ d over the final name — never a torn file.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=prefix, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 # ----------------------------------------------------------------------
 # the library
 # ----------------------------------------------------------------------
@@ -398,22 +421,7 @@ class ArtifactLibrary:
         key = artifact_key(graph)
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        blob = dump_artifact(topo.pristine or topo)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomically(path, dump_artifact(topo.pristine or topo), f".{key[:8]}.")
         self.publishes += 1
         return key
 

@@ -1,12 +1,16 @@
 """The persistent campaign result store: an append-only JSONL log + an index.
 
-Design, in one paragraph: the store is **content-addressed** (every record
-is keyed by its scenario's :meth:`~repro.campaigns.spec.Scenario.spec_hash`,
-a SHA-256 over the canonical spec, so the same cell of any matrix always
-lands at the same key) and **append-only** (a commit appends a batch of
-JSON lines to one log file with a single write and a single ``fsync``;
-nothing is ever rewritten in place).  Those two choices buy the three
-campaign features for free:
+Design, in one paragraph: the store is **content-addressed** twice over.
+Every record is keyed by its scenario's
+:meth:`~repro.campaigns.spec.Scenario.spec_hash`, a SHA-256 over the
+canonical spec, so the same cell of any matrix always lands at the same
+key.  Every result *body* (the result minus its scenario) is stored once,
+as a payload line named by the SHA-256 of its canonical JSON, and each
+cell's record names its payload: a seed sweep over a few wirings writes a
+few bodies and one short record per cell.  The store is also
+**append-only**: a commit appends a batch of JSON lines to one log file
+with a single write and a single ``fsync``; nothing is ever rewritten in
+place.  Those choices buy the three campaign features for free:
 
 * **resume** — an interrupted run leaves a prefix of completed records on
   disk; re-running the same matrix looks each scenario up by key, loads the
@@ -24,27 +28,32 @@ campaign features for free:
   raises :class:`~repro.errors.StoreError` loudly.
 
 Duplicate keys are legal (append-only stores re-record on re-run); the
-last record wins, mirroring "latest run of this cell".  Stores written
-before the log existed keep their records in key-prefix shards
+last record wins, mirroring "latest run of this cell".  Duplicate payload
+lines are legal too: two handles on one directory may each write one.
+Stores written before format v2 hold whole results inline
+(``{"key", "result"}`` lines), some in key-prefix shards
 (``shards/ab.jsonl``); the loader reads every ``shards/*.jsonl`` in name
-order and ``log.jsonl`` sorts after all of them, so such stores open,
-resume and take new records unchanged.  Records of a retired engine
-backend (:data:`RETIRED_BACKENDS`) stay on disk but are skipped on load:
-no current scenario can name that backend.
+order, ``log.jsonl`` sorts after all of them, and a file may mix both line
+shapes, so such stores open, resume and take new records unchanged.
+Records of a retired engine backend (:data:`RETIRED_BACKENDS`) stay on
+disk but are skipped on load: no current scenario can name that backend.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.analysis.run_stats import CampaignStats, RcaEpisode, aggregate_stats
 from repro.campaigns.executor import ScenarioResult
 from repro.campaigns.spec import CampaignSpec, Scenario
 from repro.errors import StoreError
+from repro.store.artifacts import write_atomically
 
 __all__ = [
     "RETIRED_BACKENDS",
@@ -57,7 +66,13 @@ __all__ = [
 ]
 
 #: Manifest format tag; bump on incompatible layout or record changes.
-STORE_FORMAT = "repro.result-store/v1"
+STORE_FORMAT = "repro.result-store/v2"
+
+#: The tag of stores whose lines all hold whole results inline.  Such a
+#: store opens unchanged; its first commit rewrites the manifest to
+#: :data:`STORE_FORMAT` so that older code refuses it instead of
+#: misparsing its payload lines.
+_V1_FORMAT = "repro.result-store/v1"
 
 #: The file every commit appends to.  Earlier writers spread records over
 #: key-prefix shards named by two hex digits; ``log.jsonl`` sorts after all
@@ -69,14 +84,26 @@ _LOG_NAME = "log.jsonl"
 #: hides a cell a current campaign could ask for.
 RETIRED_BACKENDS = frozenset({"batch"})
 
+#: The :class:`ScenarioResult` fields a payload body holds: every field but
+#: the scenario, in declaration order, so ``ScenarioResult(scenario,
+#: *body)`` rebuilds a result from its body value.
+_BODY_FIELDS = tuple(f.name for f in fields(ScenarioResult) if f.name != "scenario")
+
+#: A result's body value: the tuple of its :data:`_BODY_FIELDS`.
+_body_of = attrgetter(*_BODY_FIELDS)
+
 
 # ----------------------------------------------------------------------
 # record (de)serialization
 # ----------------------------------------------------------------------
-def result_to_doc(result: ScenarioResult) -> dict:
-    """A :class:`ScenarioResult` as a JSON-ready mapping."""
+def _canonical(doc: dict) -> str:
+    """The canonical JSON of a mapping: sorted keys, minimal separators."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _body_to_doc(result: ScenarioResult) -> dict:
+    """A result's body (every field but the scenario) as a JSON-ready mapping."""
     return {
-        "scenario": result.scenario.canonical(),
         "outcome": result.outcome,
         "num_nodes": result.num_nodes,
         "num_wires": result.num_wires,
@@ -104,41 +131,65 @@ def result_to_doc(result: ScenarioResult) -> dict:
     }
 
 
+def _body_from_doc(doc: dict) -> tuple:
+    """The body value of a stored body mapping, in :data:`_BODY_FIELDS` order.
+
+    JSON turns tuples into lists, so the nested shapes are re-tupled here.
+    """
+    try:
+        values = {
+            "outcome": doc["outcome"],
+            "num_nodes": doc["num_nodes"],
+            "num_wires": doc["num_wires"],
+            "diameter": doc["diameter"],
+            "ticks": doc["ticks"],
+            "drained_ticks": doc["drained_ticks"],
+            "hops": doc["hops"],
+            "rca_runs": doc["rca_runs"],
+            "bca_runs": doc["bca_runs"],
+            "by_family": tuple((kind, count) for kind, count in doc["by_family"]),
+            "episodes": tuple(RcaEpisode(**ep) for ep in doc["episodes"]),
+            "lost_characters": doc.get("lost_characters", 0),
+            "phase": doc.get("phase", ""),
+            # .get: records written before quarantine existed lack these
+            "error": doc.get("error", ""),
+            "error_digest": doc.get("error_digest", ""),
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreError(f"malformed result record: {exc}") from exc
+    return tuple(values[name] for name in _BODY_FIELDS)
+
+
+def result_to_doc(result: ScenarioResult) -> dict:
+    """A :class:`ScenarioResult` as a JSON-ready mapping."""
+    return {"scenario": result.scenario.canonical(), **_body_to_doc(result)}
+
+
 def result_from_doc(doc: dict) -> ScenarioResult:
     """Rebuild a :class:`ScenarioResult` from its stored mapping.
 
-    The inverse of :func:`result_to_doc` up to value identity: JSON turns
-    tuples into lists, so the nested shapes are re-tupled here and the
+    The inverse of :func:`result_to_doc` up to value identity: the
     round-tripped result compares ``==`` to the original dataclass.
     """
     try:
-        return ScenarioResult(
-            scenario=Scenario(**doc["scenario"]),
-            outcome=doc["outcome"],
-            num_nodes=doc["num_nodes"],
-            num_wires=doc["num_wires"],
-            diameter=doc["diameter"],
-            ticks=doc["ticks"],
-            drained_ticks=doc["drained_ticks"],
-            hops=doc["hops"],
-            rca_runs=doc["rca_runs"],
-            bca_runs=doc["bca_runs"],
-            by_family=tuple((kind, count) for kind, count in doc["by_family"]),
-            episodes=tuple(RcaEpisode(**ep) for ep in doc["episodes"]),
-            lost_characters=doc.get("lost_characters", 0),
-            phase=doc.get("phase", ""),
-            # .get: records written before quarantine existed lack these
-            error=doc.get("error", ""),
-            error_digest=doc.get("error_digest", ""),
-        )
+        scenario = Scenario(**doc["scenario"])
     except (KeyError, TypeError) as exc:
         raise StoreError(f"malformed result record: {exc}") from exc
+    return ScenarioResult(scenario, *_body_from_doc(doc))
 
 
-def _is_retired(record: dict) -> bool:
-    """Whether a shard record was written by a retired backend."""
-    scenario = record["result"]["scenario"]
+def _is_retired(scenario: object) -> bool:
+    """Whether a stored scenario names a retired backend."""
     return isinstance(scenario, dict) and scenario.get("backend") in RETIRED_BACKENDS
+
+
+class _Payload(NamedTuple):
+    """What :func:`_scan_shard` yields for a payload line."""
+
+    digest: str
+    body: tuple
+    #: the body mapping as parsed, for :func:`verify_result_store`'s digest check
+    doc: dict
 
 
 #: What :func:`_scan_shard` yields for a file's torn final line.
@@ -149,13 +200,16 @@ def _scan_shard(shard: Path) -> Iterator[tuple[int, int, object]]:
     """Decode one shard file line by line: ``(lineno, offset, item)``.
 
     ``lineno`` is 1-based and ``offset`` is the line's first byte.  ``item``
-    is ``(key, result)`` for a record, ``(key, None)`` for a record of a
-    retired backend, the decoding error for a corrupt line, or
+    is a :class:`_Payload` for a payload line; ``(key, result)`` for a
+    record of either shape; ``(key, None)`` for a record of a retired
+    backend; the decoding error for a corrupt line, including a record
+    that names a payload no earlier line of this file holds; or
     :data:`_TORN` for the bytes after the file's last newline.  Those are
     torn whatever they parse as: every commit ends in a newline, so an
     unterminated line is a commit cut short, and the next commit would
     weld its first record onto it.
     """
+    bodies: dict[str, tuple] = {}
     lines = shard.read_bytes().split(b"\n")
     offset = 0
     for lineno, raw in enumerate(lines, 1):
@@ -167,10 +221,26 @@ def _scan_shard(shard: Path) -> Iterator[tuple[int, int, object]]:
             yield lineno, start, _TORN
             continue
         try:
-            record = json.loads(raw)
-            key = record["key"]
-            retired = _is_retired(record)
-            result = None if retired else result_from_doc(record["result"])
+            line = json.loads(raw)
+            if "body" in line:
+                doc = line["body"]
+                payload = _Payload(line["payload"], _body_from_doc(doc), doc)
+                bodies[payload.digest] = payload.body
+                yield lineno, start, payload
+                continue
+            key = line["key"]
+            if "result" in line:  # a whole result inline: format v1
+                doc = line["result"]
+                result = None if _is_retired(doc["scenario"]) else result_from_doc(doc)
+            elif _is_retired(line["scenario"]):
+                result = None
+            else:
+                body = bodies.get(line["payload"])
+                if body is None:
+                    raise StoreError(
+                        f"record names unknown payload {line['payload']!r}"
+                    )
+                result = ScenarioResult(Scenario(**line["scenario"]), *body)
         except (json.JSONDecodeError, KeyError, TypeError, StoreError) as exc:
             yield lineno, start, exc
             continue
@@ -186,50 +256,75 @@ class ResultStore:
     Layout::
 
         RUN_DIR/
-          MANIFEST.json       # format tag, written once
+          MANIFEST.json       # format tag
           shards/ab.jsonl     # legacy key-prefix shards (read, never written)
           shards/log.jsonl    # every commit since, in commit order
 
-    Opening a store scans every file once and builds the in-memory index
-    (``spec hash -> latest record``); commits append to the log and
-    update the index, so reads never re-touch disk.  Records are plain
-    values, making the store safe to copy, merge (concatenate files), or
-    commit to version control.
+    A commit writes each result body the log does not hold yet as one
+    payload line, then one short record line per result naming its
+    payload by digest.  Opening a store scans every file once, decodes
+    each payload once and builds the in-memory index (``spec hash ->
+    latest record``); results that share a body share its tuples.
+    Commits append to the log and update the index, so reads never
+    re-touch disk.  Records are plain values, making the store safe to
+    copy, merge (concatenate logs), or commit to version control.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
         self._shard_dir = self.root / "shards"
         self._log = self._shard_dir / _LOG_NAME
+        self._manifest = self.root / "MANIFEST.json"
         self._index: dict[str, ScenarioResult] = {}
+        #: body value -> digest of a payload line in the log: the writer
+        #: names it instead of writing the body again
+        self._digests: dict[tuple, str] = {}
+        self._format = STORE_FORMAT
         self._init_layout()
         self._load()
 
     # -- layout and loading ---------------------------------------------
     def _init_layout(self) -> None:
-        manifest_path = self.root / "MANIFEST.json"
-        if manifest_path.exists():
+        if self._manifest.exists():
             try:
-                manifest = json.loads(manifest_path.read_text())
+                manifest = json.loads(self._manifest.read_text())
             except json.JSONDecodeError as exc:
-                raise StoreError(f"unreadable manifest {manifest_path}: {exc}") from exc
-            if manifest.get("format") != STORE_FORMAT:
+                raise StoreError(
+                    f"unreadable manifest {self._manifest}: {exc}"
+                ) from exc
+            self._format = manifest.get("format")
+            if self._format not in (_V1_FORMAT, STORE_FORMAT):
                 raise StoreError(
                     f"{self.root} is not a {STORE_FORMAT} store "
-                    f"(found {manifest.get('format')!r})"
+                    f"(found {self._format!r})"
                 )
+            self._shard_dir.mkdir(exist_ok=True)
             return
         if self.root.exists() and not self.root.is_dir():
             raise StoreError(f"store path {self.root} exists and is not a directory")
         self._shard_dir.mkdir(parents=True, exist_ok=True)
-        manifest = {"format": STORE_FORMAT}
-        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+        self._manifest.write_text(json.dumps({"format": STORE_FORMAT}, indent=2) + "\n")
+
+    def _upgrade_manifest(self) -> None:
+        """Retag a v1 store as :data:`STORE_FORMAT`, atomically.
+
+        Runs before the first commit appends payload lines, so the log
+        never holds a line older code would misparse under a tag it reads.
+        """
+        manifest = json.loads(self._manifest.read_text())
+        manifest["format"] = STORE_FORMAT
+        data = (json.dumps(manifest, indent=2) + "\n").encode()
+        write_atomically(self._manifest, data, ".MANIFEST.")
+        self._format = STORE_FORMAT
 
     def _load(self) -> None:
         for shard in sorted(self._shard_dir.glob("*.jsonl")):
             self._load_shard(shard)
 
     def _load_shard(self, shard: Path) -> None:
+        # only the log's payloads may be named by later commits, which
+        # append to the log: a record never names a payload in another file
+        learn = shard == self._log
         for lineno, offset, item in _scan_shard(shard):
             if item is _TORN:
                 # the expected signature of a run killed mid-append: cut it
@@ -239,6 +334,9 @@ class ResultStore:
                 raise StoreError(
                     f"corrupt record at {shard.name}:{lineno}: {item}"
                 ) from item
+            elif isinstance(item, _Payload):
+                if learn:
+                    self._digests[item.body] = item.digest
             else:
                 key, result = item
                 if result is not None:  # None: a retired backend's record
@@ -252,25 +350,42 @@ class ResultStore:
     def put_many(self, results: Iterable[ScenarioResult]) -> list[str]:
         """Commit a batch of results; returns their keys in order.
 
-        The whole batch is appended to the log in one ``O_APPEND`` write
-        and fsynced once, and only then does it enter the index — so a key
-        visible in memory is always durable on disk.  If the write or the
-        ``fsync`` fails, the log is cut back to its prior length and the
-        index is left untouched.
+        Each body the log does not hold yet is written once, as a payload
+        line ahead of the first record that names it.  The whole batch is
+        appended to the log in one ``O_APPEND`` write and fsynced once, and
+        only then do its keys enter the index and its payloads the
+        writer's digest map — so a key visible in memory is durable on
+        disk, and no later commit names a payload that is not.  If the
+        write or the ``fsync`` fails, the log is cut back to its prior
+        length and the index and map are left untouched.
         """
         results = list(results)
         keys = [result.scenario.spec_hash() for result in results]
         if not results:
             return keys
-        lines = [
-            json.dumps(
-                {"key": key, "result": result_to_doc(result)},
-                sort_keys=True,
-                separators=(",", ":"),
+        learned: dict[tuple, str] = {}
+        lines = []
+        last = digest = None
+        for key, result in zip(keys, results):
+            body = _body_of(result)
+            # Cells of one wiring arrive together and share their episode
+            # tuples, so ``==`` on the previous body is cheap where hashing
+            # the body (every episode) is not.
+            if body != last:
+                last = body
+                digest = self._digests.get(body) or learned.get(body)
+            if digest is None:
+                doc = _body_to_doc(result)
+                digest = hashlib.sha256(_canonical(doc).encode()).hexdigest()
+                learned[body] = digest
+                lines.append(_canonical({"body": doc, "payload": digest}))
+            scenario = result.scenario.canonical()
+            lines.append(
+                _canonical({"key": key, "payload": digest, "scenario": scenario})
             )
-            for key, result in zip(keys, results)
-        ]
         data = ("\n".join(lines) + "\n").encode()
+        if self._format != STORE_FORMAT:
+            self._upgrade_manifest()
         fd = os.open(self._log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
             size = os.fstat(fd).st_size
@@ -284,6 +399,7 @@ class ResultStore:
                 raise
         finally:
             os.close(fd)
+        self._digests.update(learned)
         for key, result in zip(keys, results):
             self._index[key] = result
         return keys
@@ -368,17 +484,20 @@ class ResultStore:
 class StoreVerifyReport:
     """What an offline scan of a result store's files found.
 
-    ``problems`` are records that cannot be trusted — unparseable JSON in
-    the middle of a file, a record that fails deserialization, or a key
-    that does not match the stored scenario's recomputed spec hash.
-    ``torn`` entries are unterminated *final* lines: the expected signature
-    of a run killed mid-append, reported as warnings (the loader drops them
-    safely) rather than corruption.  ``retired`` counts records of a
-    :data:`RETIRED_BACKENDS` backend, which the loader skips.
+    ``problems`` are lines that cannot be trusted — unparseable JSON in
+    the middle of a file, a line that fails deserialization, a payload
+    whose body does not hash to its digest, a record that names a payload
+    its file does not hold, or a key that does not match the stored
+    scenario's recomputed spec hash.  ``torn`` entries are unterminated
+    *final* lines: the expected signature of a run killed mid-append,
+    reported as warnings (the loader drops them safely) rather than
+    corruption.  ``retired`` counts records of a :data:`RETIRED_BACKENDS`
+    backend, which the loader skips.
     """
 
     root: str
     shards: int = 0
+    payloads: int = 0
     records: int = 0
     keys: int = 0
     duplicates: int = 0
@@ -394,8 +513,8 @@ class StoreVerifyReport:
     def summary(self) -> str:
         lines = [
             f"result store {self.root}: {self.shards} shard(s), "
-            f"{self.records} record(s), {self.keys} key(s), "
-            f"{self.duplicates} duplicate(s)"
+            f"{self.payloads} payload(s), {self.records} record(s), "
+            f"{self.keys} key(s), {self.duplicates} duplicate(s)"
         ]
         if self.retired:
             lines.append(
@@ -417,13 +536,17 @@ def verify_result_store(root: str | os.PathLike) -> StoreVerifyReport:
     """Scan a result store offline; never modifies anything on disk.
 
     The shard-level twin of the artifact library's ``--verify``: every
-    line of every shard is parsed, deserialized, and its key checked
-    against the recomputed spec hash of the scenario it claims to record —
-    so a bit flip in a spec field (which would silently serve the wrong
-    cell on resume) is caught, not just malformed JSON.  Unlike opening a
-    :class:`ResultStore`, a torn final line is *reported*, not truncated
-    away, and mid-shard corruption is collected instead of raising — the
-    point is a complete report over a store you may not want to touch.
+    line of every shard is parsed and deserialized.  Each payload's body
+    is re-encoded canonically and checked against its digest, since a
+    flipped byte in one shared body would corrupt every cell naming it;
+    each record must name a payload its file holds, and its key is
+    checked against the recomputed spec hash of the scenario it claims to
+    record — so a bit flip in a spec field (which would silently serve the
+    wrong cell on resume) is caught, not just malformed JSON.  Unlike
+    opening a :class:`ResultStore`, a torn final line is *reported*, not
+    truncated away, and mid-shard corruption is collected instead of
+    raising — the point is a complete report over a store you may not
+    want to touch.
     """
     root = Path(root)
     manifest_path = root / "MANIFEST.json"
@@ -436,7 +559,7 @@ def verify_result_store(root: str | os.PathLike) -> StoreVerifyReport:
     except json.JSONDecodeError as exc:
         report.problems.append(f"{manifest_path.name}: unreadable ({exc})")
         return report
-    if manifest.get("format") != STORE_FORMAT:
+    if manifest.get("format") not in (_V1_FORMAT, STORE_FORMAT):
         report.problems.append(
             f"{manifest_path.name}: format {manifest.get('format')!r}, "
             f"expected {STORE_FORMAT!r}"
@@ -452,6 +575,15 @@ def verify_result_store(root: str | os.PathLike) -> StoreVerifyReport:
                 continue
             if isinstance(item, Exception):
                 report.problems.append(f"{where}: {item}")
+                continue
+            if isinstance(item, _Payload):
+                report.payloads += 1
+                digest = hashlib.sha256(_canonical(item.doc).encode()).hexdigest()
+                if digest != item.digest:
+                    report.problems.append(
+                        f"{where}: payload {item.digest[:16]}… does not match "
+                        f"the digest of its body ({digest[:16]}…)"
+                    )
                 continue
             key, result = item
             if result is None:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import os
 import pathlib
+import pickle
+import shutil
 import subprocess
 import sys
 
@@ -28,6 +31,7 @@ from repro.campaigns import CampaignSpec, Scenario, run_campaign, run_scenario
 from repro.cli import main
 from repro.errors import BaselineError, StoreError
 from repro.store import (
+    STORE_FORMAT,
     ResultStore,
     result_from_doc,
     result_to_doc,
@@ -40,6 +44,30 @@ SPEC = CampaignSpec(
     faults=("none", "shutdown:0.1"),
     seeds=(0, 1),
 )
+
+#: Two deterministic families over five seeds: ten cells, two result bodies.
+SEEDS = CampaignSpec(
+    families=("directed-ring", "de-bruijn"), sizes=(4,), seeds=tuple(range(5))
+)
+
+#: A store the format-v1 writer made of the README quick-start matrix.
+FIXTURE_V1 = pathlib.Path(__file__).parent / "data" / "store-v1"
+QUICKSTART = CampaignSpec(
+    families=("directed-ring", "de-bruijn"),
+    sizes=(8,),
+    faults=("none", "cut:0.4"),
+    seeds=(0, 1),
+    backends=("flat",),
+)
+
+
+def _log_lines(root: pathlib.Path) -> list[dict]:
+    log = root / "shards" / "log.jsonl"
+    return [json.loads(line) for line in log.read_text().splitlines()]
+
+
+def _files(root: pathlib.Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 # ----------------------------------------------------------------------
@@ -93,6 +121,35 @@ class TestSpecHash:
         )
         expected = Scenario("de-bruijn", 8, "shutdown:0.1", 3).spec_hash()
         assert out.stdout.strip() == expected
+
+    def test_memoized_hash_is_invisible_to_value_semantics(self):
+        a = Scenario("de-bruijn", 8, "shutdown:0.1", 3)
+        b = Scenario("de-bruijn", 8, "shutdown:0.1", 3)
+        before = (hash(a), repr(a))
+        assert a.spec_hash() == b.spec_hash()
+        assert a == b and (hash(a), repr(a)) == before
+        # replace() builds a new instance, which hashes its own fields
+        assert replace(a, seed=4).spec_hash() == replace(b, seed=4).spec_hash()
+        assert replace(a, seed=4).spec_hash() != a.spec_hash()
+        # a pickled scenario leaves its memo behind and re-derives its key
+        object.__setattr__(a, "_spec_hash", "0" * 64)
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and copy.spec_hash() == b.spec_hash()
+
+    def test_each_written_cell_hashes_its_scenario_once(self, tmp_path, monkeypatch):
+        from types import SimpleNamespace
+
+        import repro.campaigns.spec as spec_module
+
+        calls = []
+
+        def counting(data=b""):
+            calls.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(spec_module, "hashlib", SimpleNamespace(sha256=counting))
+        run_campaign(SPEC, store=tmp_path / "run")
+        assert len(calls) == len(SPEC)
 
     def test_matrix_hash_reflects_order_and_content(self):
         base = SPEC.spec_hash()
@@ -167,11 +224,11 @@ class TestResultStore:
         store = ResultStore(tmp_path / "run")
         results = [run_scenario(s) for s in SPEC.scenarios()[:2]]
         keys = store.put_many(results)
-        # simulate a kill mid-append: a half-written record at the log's end
+        # simulate a kill mid-append: a half-written payload at the log's end
         shard = tmp_path / "run" / "shards" / "log.jsonl"
         intact = shard.read_bytes()
         with shard.open("a") as fh:
-            fh.write('{"key": "deadbeef", "result": {"scenario"')
+            fh.write('{"body":{"bca_runs":1,"by_family"')
         reopened = ResultStore(tmp_path / "run")
         assert len(reopened) == 2
         assert reopened.get(keys[0]) == results[0]
@@ -224,6 +281,15 @@ class TestResultStore:
         shard.write_text("\n".join(lines) + "\n")
         with pytest.raises(StoreError, match="corrupt record"):
             ResultStore(tmp_path / "run")
+
+    def test_store_without_its_shards_directory_takes_commits(self, tmp_path):
+        ResultStore(tmp_path / "run")
+        shutil.rmtree(tmp_path / "run" / "shards")
+        store = ResultStore(tmp_path / "run")
+        assert len(store) == 0
+        result = run_scenario(Scenario("de-bruijn", 6))
+        store.put(result)
+        assert ResultStore(tmp_path / "run").get(result.scenario) == result
 
     def test_foreign_directory_rejected(self, tmp_path):
         (tmp_path / "MANIFEST.json").write_text('{"format": "something/else"}')
@@ -316,11 +382,191 @@ class TestCommitLog:
         newer = replace(results[0], ticks=results[0].ticks + 1)
         ResultStore(root).put(newer)
         assert (root / "shards" / "log.jsonl").exists()
+        assert json.loads((root / "MANIFEST.json").read_text()) == {
+            "format": STORE_FORMAT,
+            "shard_prefix": 2,
+        }
         reopened = ResultStore(root)
         assert len(reopened) == len(results)
         assert reopened.get(results[0].scenario) == newer
         report = verify_result_store(root)
         assert report.ok and report.duplicates == 1
+
+
+# ----------------------------------------------------------------------
+# format v2: each distinct body once, as a payload line
+# ----------------------------------------------------------------------
+class TestPayloadLog:
+    def test_repeated_bodies_write_one_payload_line_each(self, tmp_path):
+        results = run_campaign(SEEDS).results
+        ResultStore(tmp_path / "run").put_many(results)
+        lines = _log_lines(tmp_path / "run")
+        payloads = [line for line in lines if "body" in line]
+        records = [line for line in lines if "body" not in line]
+        assert len(payloads) == 2 and len(records) == len(results)
+        for line in payloads:
+            assert set(line) == {"body", "payload"}
+            canonical = json.dumps(line["body"], sort_keys=True, separators=(",", ":"))
+            assert line["payload"] == hashlib.sha256(canonical.encode()).hexdigest()
+        for line, result in zip(records, results):
+            assert set(line) == {"key", "payload", "scenario"}
+            assert line["scenario"] == result.scenario.canonical()
+            named = next(
+                i
+                for i, p in enumerate(lines)
+                if "body" in p and p["payload"] == line["payload"]
+            )
+            assert named < lines.index(line)
+            body = dict(result_to_doc(result))
+            del body["scenario"]
+            assert lines[named]["body"] == body
+        reopened = ResultStore(tmp_path / "run")
+        loaded = reopened.results_for(SEEDS)
+        assert loaded == results
+        # decoded once: cells of one body share its tuples
+        assert loaded[0].episodes is loaded[4].episodes
+        assert loaded[0].by_family is loaded[4].by_family
+        # the reopened writer knows both bodies: re-recording writes records only
+        reopened.put_many(results)
+        assert len(_log_lines(tmp_path / "run")) == len(lines) + len(results)
+
+    def test_concatenated_logs_open_with_the_union_and_verify(self, tmp_path):
+        scenarios = SEEDS.scenarios()
+        run_campaign(scenarios[:6], store=tmp_path / "a")
+        run_campaign(scenarios[3:], store=tmp_path / "b")
+        merged = tmp_path / "merged"
+        (merged / "shards").mkdir(parents=True)
+        shutil.copy(tmp_path / "a" / "MANIFEST.json", merged)
+        (merged / "shards" / "log.jsonl").write_bytes(
+            b"".join(
+                (tmp_path / name / "shards" / "log.jsonl").read_bytes()
+                for name in "ab"
+            )
+        )
+        assert ResultStore(merged).results_for(SEEDS) == run_campaign(SEEDS).results
+        report = verify_result_store(merged)
+        assert report.ok
+        # both logs hold both bodies; a payload named twice is legal
+        assert report.payloads == 4 and report.records == 6 + 7
+        assert report.keys == len(SEEDS) and report.duplicates == 3
+
+    def test_recommit_after_failed_fsync_writes_the_body_again(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path / "run")
+        first = run_scenario(Scenario("de-bruijn", 6))
+        store.put(first)
+        fresh = run_scenario(Scenario("directed-ring", 6))
+
+        def broken(fd):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        monkeypatch.setattr(os, "fsync", broken)
+        with pytest.raises(OSError, match="injected"):
+            store.put(fresh)
+        monkeypatch.undo()
+        # the failed batch, its payload line included, was cut from the
+        # log, so the retry must write the body again
+        store.put(fresh)
+        reopened = ResultStore(tmp_path / "run")
+        assert reopened.get(fresh.scenario) == fresh
+        assert reopened.get(first.scenario) == first
+        assert verify_result_store(tmp_path / "run").ok
+
+    def test_verify_flags_a_flipped_body_and_a_dangling_reference(
+        self, capsys, tmp_path
+    ):
+        result = run_scenario(Scenario("de-bruijn", 6))
+        ResultStore(tmp_path / "run").put(result)
+        log = tmp_path / "run" / "shards" / "log.jsonl"
+        payload, record = log.read_text().splitlines()
+        ticks = f'"ticks":{result.ticks}'
+        assert payload.count(ticks) == 1
+        flipped = payload.replace(ticks, f'"ticks":{result.ticks + 1}')
+        log.write_text(f"{flipped}\n{record}\n")
+        assert main(["store", str(tmp_path / "run"), "--verify"]) == 1
+        out = capsys.readouterr().out
+        assert "CORRUPT log.jsonl:1: payload" in out
+        assert "does not match the digest of its body" in out
+        # a record ahead of its payload names a payload its file lacks
+        log.write_text(f"{record}\n{payload}\n")
+        assert main(["store", str(tmp_path / "run"), "--verify"]) == 1
+        assert "CORRUPT log.jsonl:1: record names unknown payload" in (
+            capsys.readouterr().out
+        )
+        with pytest.raises(StoreError, match="log.jsonl:1: record names unknown"):
+            ResultStore(tmp_path / "run")
+
+    def test_log_mixing_v1_and_v2_lines_loads(self, tmp_path):
+        results = run_campaign(SPEC).results
+        ResultStore(tmp_path / "run").put_many(results[:3])
+        log = tmp_path / "run" / "shards" / "log.jsonl"
+        with log.open("a") as fh:
+            for result in results[3:6]:
+                key = result.scenario.spec_hash()
+                record = {"key": key, "result": result_to_doc(result)}
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        ResultStore(tmp_path / "run").put_many(results[6:])
+        assert ResultStore(tmp_path / "run").results_for(SPEC) == results
+        report = verify_result_store(tmp_path / "run")
+        assert report.ok and report.records == report.keys == len(SPEC)
+
+
+class TestV1Fixture:
+    """A store the format-v1 writer made, read and extended by this code."""
+
+    @pytest.fixture
+    def store_dir(self, tmp_path):
+        root = tmp_path / "store-v1"
+        shutil.copytree(FIXTURE_V1, root)
+        return root
+
+    def test_fixture_holds_v1_lines_under_a_v1_manifest(self):
+        manifest = json.loads((FIXTURE_V1 / "MANIFEST.json").read_text())
+        assert manifest == {"format": "repro.result-store/v1"}
+        lines = _log_lines(FIXTURE_V1)
+        assert len(lines) == len(QUICKSTART)
+        assert all(set(line) == {"key", "result"} for line in lines)
+
+    def test_opens_and_every_record_equals_a_fresh_run(self, store_dir):
+        store = ResultStore(store_dir)
+        assert len(store) == len(QUICKSTART)
+        expected = [run_scenario(s, fresh=True) for s in QUICKSTART.scenarios()]
+        assert store.results_for(QUICKSTART) == expected
+        report = verify_result_store(store_dir)
+        assert report.ok and report.records == len(QUICKSTART)
+        assert report.payloads == 0
+
+    def test_resume_runs_nothing_and_writes_nothing(self, store_dir, monkeypatch):
+        import repro.campaigns.executor as executor
+
+        before = _files(store_dir)
+        executed = []
+        monkeypatch.setattr(executor, "run_scenario", executed.append)
+        run_campaign(QUICKSTART, store=store_dir)
+        assert executed == []
+        assert verify_result_store(store_dir).ok
+        assert _files(store_dir) == before
+
+    def test_overlapping_matrix_appends_v2_lines_and_upgrades(self, store_dir):
+        log = store_dir / "shards" / "log.jsonl"
+        before = log.read_bytes()
+        bigger = replace(QUICKSTART, seeds=(0, 1, 2))
+        campaign = run_campaign(bigger, store=store_dir)
+        assert campaign.results == run_campaign(bigger).results
+        manifest = json.loads((store_dir / "MANIFEST.json").read_text())
+        assert manifest == {"format": STORE_FORMAT}
+        after = log.read_bytes()
+        assert after.startswith(before)
+        appended = [json.loads(line) for line in after[len(before) :].splitlines()]
+        shapes = {frozenset(line) for line in appended}
+        assert shapes == {
+            frozenset({"body", "payload"}),
+            frozenset({"key", "payload", "scenario"}),
+        }
+        assert ResultStore(store_dir).results_for(bigger) == campaign.results
+        report = verify_result_store(store_dir)
+        assert report.ok and report.records == report.keys == len(bigger)
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +587,7 @@ class TestStoreVerify:
         store.put(run_scenario(Scenario("de-bruijn", 6)))
         shard = tmp_path / "run" / "shards" / "log.jsonl"
         with shard.open("a") as fh:
-            fh.write('{"key": "deadbeef", "result": {"scenario"')
+            fh.write('{"key":"deadbeef","payload":"ab')
         before = shard.read_bytes()
         report = verify_result_store(tmp_path / "run")
         # a torn trailing line is a warning (crash-consistent appends
@@ -366,14 +612,19 @@ class TestStoreVerify:
 
     def test_key_spec_hash_mismatch_is_a_problem(self, tmp_path):
         store = ResultStore(tmp_path / "run")
-        key = store.put(run_scenario(Scenario("de-bruijn", 6)))
+        result = run_scenario(Scenario("de-bruijn", 6))
+        key = store.put(result)
         shard = tmp_path / "run" / "shards" / "log.jsonl"
-        doc = json.loads(shard.read_text())
+        payload, record = shard.read_text().splitlines()
+        doc = json.loads(record)
         doc["key"] = "0" * len(key)
-        shard.write_text(json.dumps(doc) + "\n")
+        # the same mismatch in a v1 line, which holds its result inline
+        legacy = {"key": "1" * len(key), "result": result_to_doc(result)}
+        shard.write_text(f"{payload}\n{json.dumps(doc)}\n{json.dumps(legacy)}\n")
         report = verify_result_store(tmp_path / "run")
         assert not report.ok
-        assert any("spec hash" in problem for problem in report.problems)
+        mismatches = [p for p in report.problems if "spec hash" in p]
+        assert [p.split(":")[1] for p in mismatches] == ["2", "3"]
 
     def test_missing_manifest_is_a_problem(self, tmp_path):
         report = verify_result_store(tmp_path / "empty")
@@ -393,21 +644,25 @@ class TestStoreVerify:
         store = ResultStore(tmp_path / "run")
         flat = run_scenario(Scenario("de-bruijn", 6, backend="flat"))
         store.put(flat)
-        # a record the removed lane-parallel backend wrote, by hand: its
-        # scenario can no longer be rebuilt, so loading it would raise
+        # records the removed lane-parallel backend wrote, by hand, in both
+        # shapes: their scenario can no longer be rebuilt, so loading them
+        # would raise
         doc = result_to_doc(flat)
         doc["scenario"]["backend"] = "batch"
         shard = tmp_path / "run" / "shards" / "log.jsonl"
+        digest = json.loads(shard.read_text().splitlines()[0])["payload"]
+        record = {"key": "cd" * 32, "payload": digest, "scenario": doc["scenario"]}
         with shard.open("a") as fh:
             fh.write(json.dumps({"key": "ab" * 32, "result": doc}) + "\n")
+            fh.write(json.dumps(record) + "\n")
         reopened = ResultStore(tmp_path / "run")
         assert len(reopened) == 1
         assert reopened.get(flat.scenario) == flat
         report = verify_result_store(tmp_path / "run")
         assert report.ok
-        assert report.retired == 1 and report.records == 1
+        assert report.retired == 2 and report.records == 1
         assert main(["store", str(tmp_path / "run"), "--verify"]) == 0
-        assert "1 record(s) of retired backend(s) batch" in capsys.readouterr().out
+        assert "2 record(s) of retired backend(s) batch" in capsys.readouterr().out
 
     def test_cli_verify_front_door(self, capsys, tmp_path):
         run_campaign(SPEC, store=tmp_path / "run")
@@ -432,7 +687,7 @@ class TestResume:
         run_campaign(scenarios[:k], store=store)
         shard = next(iter(sorted((tmp_path / "run" / "shards").glob("*.jsonl"))))
         with shard.open("a") as fh:
-            fh.write('{"key": "00", "result"')
+            fh.write('{"key":"00","payload"')
         resumed_store = ResultStore(tmp_path / "run")
         assert len(resumed_store) == k
         resumed = run_campaign(SPEC, store=resumed_store)
