@@ -32,6 +32,12 @@ reused, per worker process:
   deterministic, so cells that lower to the same run — ops landing after
   the undisturbed terminal tick, seed-invariant ``frontier:k`` cuts on a
   deterministic family — simulate once and only relabel per cell;
+* every healthy prefix is simulated once: a dynamic run is the healthy
+  run until its first wire op fires, so each ``(graph, backend)`` has a
+  per-worker :class:`~repro.sim.ladder.PrefixLadder` of engine
+  checkpoints.  The static run leaves its terminal rung there, and a
+  dynamic run restores the latest rung at or before its first op and
+  leaves one at it (:func:`prefix_ladder_info` counts the reuse);
 * dynamic runs check their engines out of a per-worker
   :class:`~repro.sim.run.EnginePool` (reset, not rebuilt, between runs);
   static runs build theirs, since the static memo never runs the same
@@ -50,10 +56,10 @@ and guarantees every cell sharing a baseline lands on the worker that
 already computed it.  None of this is observable in the results —
 ``jobs=1`` and ``jobs=N`` stay value-identical and stores resume
 byte-identically; :func:`run_scenario` with ``fresh=True`` bypasses the
-per-worker memos and the engine pool, and :func:`clear_scenario_caches`
-additionally drops the process-wide compiled-topology/kernel caches
-(the benchmark's pre-cache reference path clears + runs fresh; the
-cache-correctness tests rely on both).
+per-worker memos, the prefix ladders and the engine pool, and
+:func:`clear_scenario_caches` additionally drops the process-wide
+compiled-topology/kernel caches (the benchmark's pre-cache reference
+path clears + runs fresh; the cache-correctness tests rely on both).
 
 Aggregation reuses the shapes of :mod:`repro.analysis.run_stats`: per-RCA
 episodes are extracted from each root transcript inside the worker, and
@@ -73,7 +79,7 @@ import queue as queue_mod
 import time
 import traceback
 import zlib
-from collections import Counter, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -104,6 +110,7 @@ from repro.errors import (
 )
 from repro.protocol.runner import determine_topology
 from repro.sim.characters import clear_kernel_cache, kernel_for
+from repro.sim.ladder import LadderStats, PrefixLadder
 from repro.sim.run import EnginePool
 from repro.topology.compile import clear_compiled_cache
 from repro.topology.faults import (
@@ -123,6 +130,7 @@ __all__ = [
     "run_scenario",
     "run_campaign",
     "clear_scenario_caches",
+    "prefix_ladder_info",
     "shutdown_worker_pool",
 ]
 
@@ -130,6 +138,15 @@ __all__ = [
 #: campaign worker it lives for the worker's whole lifetime — which, with
 #: the persistent worker pool, spans ``run_campaign`` invocations.
 _ENGINE_POOL = EnginePool()
+
+#: Per-worker prefix ladders (rungs of each healthy run), one per
+#: ``(graph, backend)``, least recently used first.  Chunks keep a setup
+#: key's cells together, so two suffice: the base graph's, plus the one a
+#: shutdown cell's degraded graph opens between its neighbours.
+_LADDERS: "OrderedDict[tuple[PortGraph, str], PrefixLadder]" = OrderedDict()
+_MAX_LADDERS = 2
+#: every ladder counts into this one record (see :func:`prefix_ladder_info`)
+_LADDER_STATS = LadderStats()
 
 
 @dataclass(frozen=True)
@@ -186,11 +203,12 @@ def run_scenario(scenario: Scenario, *, fresh: bool = False) -> ScenarioResult:
     rest of the matrix.
 
     ``fresh=True`` bypasses every per-worker cache (graph memo, static and
-    dynamic run memos, engine pool) and rebuilds that setup from scratch —
-    the pre-cache execution path.  (The process-wide compiled-topology/
-    kernel caches are shared state, not per-scenario setup; a caller
-    that wants those cold too — the campaign benchmark's reference loop —
-    calls :func:`clear_scenario_caches` first.)  The result is
+    dynamic run memos, prefix ladders, engine pool) and rebuilds that
+    setup from scratch — the pre-cache execution path.  (The
+    process-wide compiled-topology/kernel caches are shared state, not
+    per-scenario setup; a caller that wants those cold too — the
+    campaign benchmark's reference loop — calls
+    :func:`clear_scenario_caches` first.)  The result is
     value-identical either way: the cache layer is pure reuse, enforced
     by test and asserted inside the campaign benchmark.
     """
@@ -278,6 +296,30 @@ def _reduce_dynamic(result) -> tuple[str, int, int, int]:
     return result.outcome.value, result.ticks, result.hops, result.lost_characters
 
 
+def _ladder(graph: PortGraph, backend: str) -> PrefixLadder:
+    """The per-worker prefix ladder of ``graph``'s healthy run on ``backend``."""
+    key = (graph, backend)
+    ladder = _LADDERS.get(key)
+    if ladder is None:
+        ladder = _LADDERS[key] = PrefixLadder(_LADDER_STATS)
+        if len(_LADDERS) > _MAX_LADDERS:
+            _LADDERS.popitem(last=False)
+    else:
+        _LADDERS.move_to_end(key)
+    return ladder
+
+
+def prefix_ladder_info() -> LadderStats:
+    """This process's prefix-ladder counters since the last cache clear.
+
+    ``hits``/``misses``: dynamic runs that did / did not start from a
+    rung; ``rungs``: rungs taken; ``restored_hops``: character-hops
+    restored instead of simulated.  The counters describe the work, never
+    a result, so they stay outside :class:`ScenarioResult`.
+    """
+    return replace(_LADDER_STATS)
+
+
 @lru_cache(maxsize=1024)
 def _dynamic_run(
     graph: PortGraph,
@@ -290,16 +332,25 @@ def _dynamic_run(
     A dynamic GTD run on a fixed wiring is a pure function of the graph,
     its effective wire ops and its tick budget, so cells that lower to the
     same key share one simulation.  Only the reduced tuple is kept —
-    never the transcript — so the memo costs a few ints per entry.
+    never the transcript — so the memo costs a few ints per entry.  The
+    run starts from the graph's prefix ladder and leaves its first-op
+    rung there.
     """
     return _reduce_dynamic(
         run_dynamic_gtd(
-            graph, eff_ops, max_ticks=budget, backend=backend, pool=_ENGINE_POOL
+            graph,
+            eff_ops,
+            max_ticks=budget,
+            backend=backend,
+            pool=_ENGINE_POOL,
+            checkpoints=_ladder(graph, backend),
         )
     )
 
 
-def _static_result(graph: PortGraph, backend: str) -> ScenarioResult:
+def _static_result(
+    graph: PortGraph, backend: str, ladder: PrefixLadder | None = None
+) -> ScenarioResult:
     """One static protocol run on ``graph``, reduced to its result fields.
 
     Everything here is a pure function of the wiring and the backend, so
@@ -308,9 +359,10 @@ def _static_result(graph: PortGraph, backend: str) -> ScenarioResult:
     :class:`~repro.errors.TickBudgetExceeded` when the run deadlocks.
     The engine is built, not checked out of the pool: :func:`_static_memo`
     runs each ``(graph, backend)`` once per worker, so a pooled static
-    engine would never be checked out again.
+    engine would never be checked out again.  With ``ladder``, the run
+    leaves its terminal rung there.
     """
-    result = determine_topology(graph, backend=backend)
+    result = determine_topology(graph, backend=backend, checkpoints=ladder)
     return ScenarioResult(
         scenario=None,  # type: ignore[arg-type]
         outcome="exact" if result.matches(graph) else "mismatch",
@@ -336,8 +388,10 @@ def _static_memo(graph: PortGraph, backend: str) -> ScenarioResult:
     family shares one simulation *and* one reduction.  Only the reduced
     fields are kept — never the transcript.  A deadlock raises through
     and, since ``lru_cache`` never caches an exception, stays uncached.
+    The run leaves its terminal rung on the graph's prefix ladder, where
+    the healthy dynamic run (``cut:1.5``) restores it without stepping.
     """
-    return _static_result(graph, backend)
+    return _static_result(graph, backend, _ladder(graph, backend))
 
 
 def _static_reduction(
@@ -656,14 +710,18 @@ def clear_scenario_caches() -> None:
     """Reset every per-process scenario cache to cold (tests, benchmarks).
 
     Clears the graph, static-run and dynamic-run memos, the engine pool,
-    and the process-wide compiled-topology/kernel caches.  Does not
-    touch the persistent worker pool (their caches are per-worker; use
-    :func:`shutdown_worker_pool` to recycle the workers themselves).
+    the prefix ladders and their counters, and the process-wide
+    compiled-topology/kernel caches.  Does not touch the persistent worker
+    pool (their caches are per-worker; use :func:`shutdown_worker_pool` to
+    recycle the workers themselves).
     """
+    global _LADDER_STATS
     _built_graph.cache_clear()
     _static_memo.cache_clear()
     _dynamic_run.cache_clear()
     _ENGINE_POOL.clear()
+    _LADDERS.clear()
+    _LADDER_STATS = LadderStats()
     clear_compiled_cache()
     clear_kernel_cache()
 

@@ -59,6 +59,7 @@ from repro.sim.flatcore import (
     SEQ_SHIFT,
     FlatEngine,
 )
+from repro.sim.ladder import PrefixLadder
 from repro.sim.processor import Processor
 from repro.topology.compile import CUT, TopologyPatcher
 from repro.topology.portgraph import PortGraph, Wire
@@ -171,6 +172,9 @@ class DynamicWiringMixin:
         self._added: dict[tuple[int, int], Wire] = {}
         self.lost_characters = 0
         self.applied_mutations: list[WireMutation] = []
+        #: the prefix ladder this run leaves its first-op rung on (see
+        #: :meth:`climb`); ``None`` takes no rungs
+        self.prefix_ladder: PrefixLadder | None = None
         self._init_dynamic_backend()
         self._apply_due_mutations()  # tick-0 ops
 
@@ -207,7 +211,31 @@ class DynamicWiringMixin:
         self._added.clear()
         self.lost_characters = 0
         self.applied_mutations = []
+        self.prefix_ladder = None
         self._apply_due_mutations()
+
+    def climb(self, ladder: PrefixLadder, budget: int) -> bool:
+        """Start this run from ``ladder`` and leave a rung on it.
+
+        Call on a power-on engine (just constructed or reset).  Restores
+        the latest rung at or before the first op (any rung for a program
+        without ops) within the tick ``budget``, applies the ops due at
+        exactly that tick, and attaches the ladder, so the run leaves a
+        new rung when its first op comes due.  A program with a tick-0
+        op left the healthy run before any rung.  Returns whether a rung
+        was restored; the run then continues without :meth:`start`.
+        """
+        first_op = self._ops[0].tick if self._ops else None
+        rung = ladder.resume(self, first_op, budget)
+        if rung is not None:
+            self._apply_due_mutations()
+        self.prefix_ladder = ladder
+        return rung is not None
+
+    def restore(self, checkpoint, events) -> None:
+        if self._cursor:
+            raise SimulationError("cannot restore a checkpoint after wire ops applied")
+        super().restore(checkpoint, events)
 
     # ------------------------------------------------------------------
     def step_tick(self) -> None:
@@ -230,6 +258,12 @@ class DynamicWiringMixin:
 
     def _apply_due_mutations(self) -> None:
         ops = self._ops
+        if self._cursor >= len(ops) or ops[self._cursor].tick > self.tick:
+            return
+        if not self._cursor and self.prefix_ladder is not None and self.tick > 0:
+            # the run leaves the healthy prefix now: the state after this
+            # tick's deliveries, before its first op, is a rung
+            self.prefix_ladder.capture(self)
         while self._cursor < len(ops) and ops[self._cursor].tick <= self.tick:
             op = ops[self._cursor]
             self._cursor += 1

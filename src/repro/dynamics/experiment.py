@@ -45,6 +45,7 @@ from repro.sim.run import (
     check_backend,
     execute_run,
 )
+from repro.sim.ladder import PrefixLadder
 from repro.sim.transcript import Transcript
 from repro.topology.isomorphism import port_isomorphic
 from repro.topology.portgraph import PortGraph
@@ -132,6 +133,7 @@ def run_dynamic_gtd(
     max_ticks: int | None = None,
     backend: str = DEFAULT_BACKEND,
     pool: EnginePool | None = None,
+    checkpoints: PrefixLadder | None = None,
 ) -> DynamicRunResult:
     """Run GTD on ``graph`` while applying ``timeline``; classify the result.
 
@@ -141,6 +143,12 @@ def run_dynamic_gtd(
     an :class:`~repro.sim.run.EnginePool`: a reused engine is reset to
     power-on wiring and loaded with this call's timeline, so consecutive
     perturbation runs on one network skip the whole table rebuild.
+
+    With ``checkpoints`` (a :class:`~repro.sim.ladder.PrefixLadder` of
+    healthy runs on this ``graph``, backend and ``root``), the run starts
+    from the latest rung at or before its first op instead of tick 0, and
+    leaves a rung when its first op comes due.  The result is identical
+    either way.
     """
     budget = max_ticks if max_ticks is not None else default_tick_budget(
         graph, diameter(graph)
@@ -172,11 +180,13 @@ def run_dynamic_gtd(
         )
 
     try:
+        restored = checkpoints is not None and engine.climb(checkpoints, budget)
         run = execute_run(
             engine,
             RunConfig(
                 max_ticks=budget,
                 until=lambda: root_proc.terminal,
+                start=not restored,
                 drain=False,
                 backend=backend,
             ),
@@ -202,6 +212,7 @@ def run_dynamic_gtd(
         )
         return result(outcome, engine.tick, None, engine.effective_topology())
     finally:
+        engine.prefix_ladder = None  # an idle pooled engine must not pin it
         if pool is not None:
             pool.checkin(engine)
 

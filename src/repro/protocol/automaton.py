@@ -902,6 +902,53 @@ class ProtocolProcessor(Processor):
         """Called when this processor's own BCA terminates."""
 
     # ==================================================================
+    # checkpoint support
+    # ==================================================================
+    def save_state(self) -> tuple:
+        """The base registers, then every protocol register (checkpoints).
+
+        The register bundles are restored in place by :meth:`load_state`,
+        so the flat aliases (``_marks_ig`` and friends) stay valid.
+        """
+        ig, og, bg = self._marks_ig, self._marks_og, self._marks_bg
+        rid, rod, rbd = self._relay_id, self._relay_od, self._relay_bd
+        loop, slot = self.loop, self.bca_slot
+        return (
+            super().save_state(),
+            ig.visited, ig.parent_in, og.visited, og.parent_in,
+            bg.visited, bg.parent_in,
+            rid.active, rid.promote_next, rid.pred, rid.succ,
+            rod.active, rod.promote_next, rod.pred, rod.succ,
+            rbd.active, rbd.promote_next, rbd.pred, rbd.succ,
+            loop.pred1, loop.succ1, loop.pred2, loop.succ2, loop.expect,
+            slot.pred, slot.succ, slot.is_target,
+            self.rca_phase, self.rca_token, self.rca_accept_port, self.rca_promote,
+            self.root_phase, self.root_ig_src, self.root_id_promote,
+            self.bca_phase, self.bca_in_port, self.bca_msg, self.bca_promote,
+            self.rca_completed, self.bca_completed,
+        )
+
+    def load_state(self, state: tuple) -> None:
+        super().load_state(state[0])
+        ig, og, bg = self._marks_ig, self._marks_og, self._marks_bg
+        rid, rod, rbd = self._relay_id, self._relay_od, self._relay_bd
+        loop, slot = self.loop, self.bca_slot
+        (
+            _,
+            ig.visited, ig.parent_in, og.visited, og.parent_in,
+            bg.visited, bg.parent_in,
+            rid.active, rid.promote_next, rid.pred, rid.succ,
+            rod.active, rod.promote_next, rod.pred, rod.succ,
+            rbd.active, rbd.promote_next, rbd.pred, rbd.succ,
+            loop.pred1, loop.succ1, loop.pred2, loop.succ2, loop.expect,
+            slot.pred, slot.succ, slot.is_target,
+            self.rca_phase, self.rca_token, self.rca_accept_port, self.rca_promote,
+            self.root_phase, self.root_ig_src, self.root_id_promote,
+            self.bca_phase, self.bca_in_port, self.bca_msg, self.bca_promote,
+            self.rca_completed, self.bca_completed,
+        ) = state
+
+    # ==================================================================
     # audit support
     # ==================================================================
     def state_snapshot(self) -> dict[str, Any]:

@@ -148,6 +148,29 @@ class GTDProcessor(ProtocolProcessor):
             self.start_bca(self.dfs_parent_in, MSG_DFS_RETURN)
 
     # ------------------------------------------------------------------
+    def save_state(self) -> tuple:
+        return (
+            super().save_state(),
+            self.dfs_seen,
+            self.dfs_parent_in,
+            self.dfs_scan_idx,
+            self.dfs_waiting_port,
+            self.after_rca,
+            self.terminal,
+        )
+
+    def load_state(self, state: tuple) -> None:
+        super().load_state(state[0])
+        (
+            _,
+            self.dfs_seen,
+            self.dfs_parent_in,
+            self.dfs_scan_idx,
+            self.dfs_waiting_port,
+            self.after_rca,
+            self.terminal,
+        ) = state
+
     def state_snapshot(self) -> dict[str, Any]:
         snap = super().state_snapshot()
         snap["dfs"] = {

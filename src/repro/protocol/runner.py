@@ -32,6 +32,7 @@ from repro.sim.run import (
     execute_run,
     make_engine,
 )
+from repro.sim.ladder import PrefixLadder
 from repro.sim.transcript import Transcript
 from repro.topology.isomorphism import port_isomorphic
 from repro.topology.portgraph import PortGraph
@@ -124,6 +125,7 @@ def determine_topology(
     strict_reconstruction: bool = True,
     backend: str = DEFAULT_BACKEND,
     pool: EnginePool | None = None,
+    checkpoints: PrefixLadder | None = None,
 ) -> TopologyResult:
     """Map ``graph`` with the paper's protocol and reconstruct it at the root.
 
@@ -145,6 +147,11 @@ def determine_topology(
             (and back in afterwards) instead of constructing a fresh one —
             the zero-rebuild path campaign workers and benchmark loops use.
             Results are identical either way.
+        checkpoints: leave a rung of the terminal state — before the
+            cleanup drain — on this :class:`~repro.sim.ladder.PrefixLadder`,
+            where an undisturbed dynamic run on the same network can
+            restore it instead of simulating (see
+            :func:`repro.dynamics.experiment.run_dynamic_gtd`).
 
     Raises:
         NotStronglyConnectedError: the protocol requires strong connectivity
@@ -175,6 +182,7 @@ def determine_topology(
                 max_ticks=budget,
                 until=lambda: root_proc.terminal,
                 after_tick=_cleanup_sweeper(processors) if verify_cleanup else None,
+                before_drain=checkpoints.capture if checkpoints is not None else None,
                 backend=backend,
             ),
         )

@@ -35,17 +35,17 @@ the tick it would have without the fast-forward.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.errors import SimulationError, TickBudgetExceeded
 from repro.sim.characters import Char
 from repro.sim.metrics import TrafficMetrics
 from repro.sim.processor import Processor
 from repro.sim.scheduler import ActiveSet, EventWheel, build_dispatch_tables
-from repro.sim.transcript import Transcript
+from repro.sim.transcript import Transcript, TranscriptEvent
 from repro.topology.portgraph import PortGraph, Wire
 
-__all__ = ["NodeContext", "Engine"]
+__all__ = ["NodeContext", "Checkpoint", "Engine"]
 
 
 class NodeContext:
@@ -80,6 +80,27 @@ class NodeContext:
         non-root processors are discarded.
         """
         self._pipe(label, tuple(data))
+
+
+class Checkpoint(NamedTuple):
+    """A run's whole state at a tick boundary (see :meth:`Engine.checkpoint`).
+
+    ``wheel``, ``active`` and ``traffic`` are in the taking backend's own
+    representation, so a checkpoint restores only into an engine of the
+    same backend over the same graph and root.  The transcript is kept as
+    a length: the caller owns the events (a prefix ladder shares one
+    list across every checkpoint of the same run).
+    """
+
+    tick: int
+    root: int
+    #: character-hops delivered up to ``tick`` (the work a restore skips)
+    hops: int
+    wheel: tuple
+    active: tuple
+    transcript: int
+    traffic: tuple
+    processors: tuple
 
 
 class Engine:
@@ -168,6 +189,62 @@ class Engine:
         self._active.clear()
         for proc in self.processors:
             proc.reset()
+
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> Checkpoint:
+        """Capture the run's state at the current tick boundary.
+
+        Everything a later tick can observe is captured: the clock, the
+        wheel contents, the active set (stale heap entries included), the
+        traffic counters, every processor's registers and the transcript
+        length.  :meth:`restore` puts it back into a power-on engine of
+        the same backend over the same graph and root, and the run then
+        continues exactly as the captured one did.  Tracers are not
+        captured.
+        """
+        return Checkpoint(
+            tick=self.tick,
+            root=self.root,
+            hops=self.metrics.total_delivered,
+            wheel=self._wheel.snapshot(),
+            active=self._active.snapshot(),
+            transcript=len(self.transcript),
+            traffic=self._traffic_snapshot(),
+            processors=tuple(proc.save_state() for proc in self.processors),
+        )
+
+    def restore(
+        self, checkpoint: Checkpoint, events: Sequence[TranscriptEvent]
+    ) -> None:
+        """Load ``checkpoint`` into this (just constructed or reset) engine.
+
+        ``events`` is a transcript event sequence that starts with the
+        captured run's transcript; its first ``checkpoint.transcript``
+        events become this engine's transcript.
+        """
+        if checkpoint.root != self.root or len(checkpoint.processors) != len(
+            self.processors
+        ):
+            raise SimulationError("checkpoint was taken on another network or root")
+        self.tick = checkpoint.tick
+        self._wheel.load(checkpoint.wheel)
+        self._active.load(checkpoint.active)
+        self.transcript = Transcript.from_events(
+            events[: checkpoint.transcript], enabled=self.transcript.enabled
+        )
+        self._load_traffic(checkpoint.traffic)
+        for proc, state in zip(self.processors, checkpoint.processors):
+            proc.load_state(state)
+
+    def _traffic_snapshot(self) -> tuple:
+        metrics = self.metrics
+        return tuple(metrics.delivered.items()), tuple(metrics.emitted.items())
+
+    def _load_traffic(self, traffic: tuple) -> None:
+        delivered, emitted = traffic
+        metrics = self.metrics = TrafficMetrics()
+        metrics.delivered.update(dict(delivered))
+        metrics.emitted.update(dict(emitted))
 
     # ------------------------------------------------------------------
     def _root_pipe(self, label: str, data: tuple) -> None:

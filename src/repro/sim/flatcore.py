@@ -191,6 +191,52 @@ class PackedEventWheel:
         buckets.clear()
         del self._ticks[:]
 
+    def snapshot(self) -> tuple:
+        """The wheel's contents as compact immutable data (checkpoints).
+
+        One ``(tick, nodes, lane lengths, lane bytes)`` record per bucket:
+        the touched nodes in delivery order and their packed lanes
+        concatenated into one ``bytes`` object.
+        """
+        records = []
+        for tick, bucket in self._buckets.items():
+            lanes = bucket.lanes
+            nodes = tuple(bucket.nodes)
+            records.append(
+                (
+                    tick,
+                    nodes,
+                    tuple(len(lanes[node]) for node in nodes),
+                    b"".join(lanes[node].tobytes() for node in nodes),
+                )
+            )
+        return tuple(records)
+
+    def load(self, snapshot: tuple) -> None:
+        """Replace the contents with a :meth:`snapshot`, in place.
+
+        Container identity survives (see :meth:`clear`), so the engine's
+        send-time closures keep scheduling into this very wheel.
+        """
+        self.clear()
+        buckets = self._buckets
+        ring = self._ring
+        width = array("q").itemsize
+        for tick, nodes, lengths, blob in snapshot:
+            bucket = buckets[tick] = ring.pop() if ring else _Bucket()
+            lanes = bucket.lanes
+            view = memoryview(blob)
+            start = 0
+            for node, length in zip(nodes, lengths):
+                lane = lanes.get(node)
+                if lane is None:
+                    lane = lanes[node] = array("q")
+                end = start + length * width
+                lane.frombytes(view[start:end])
+                start = end
+            bucket.nodes.extend(nodes)
+        self._ticks[:] = sorted(buckets)
+
     def recycle(self, bucket: _Bucket) -> None:
         """Clear a delivered bucket and return it to the free ring."""
         bucket.clear()
@@ -368,6 +414,34 @@ class FlatEngine(Engine):
         # they reach all mutable processor state through `self` per call)
         self._chandlers[:] = self._chandlers_all
         self._pack_tick_locals()  # the transcript recorder was rebound
+
+    def restore(self, checkpoint, events) -> None:
+        super().restore(checkpoint, events)
+        self._pack_tick_locals()  # the transcript recorder was rebound
+
+    def _traffic_snapshot(self) -> tuple:
+        """The kernel plus the non-zero per-code emission counts.
+
+        Delivery counts need no capture: they derive from emissions and
+        the wheel contents (see :meth:`_flush_metrics`).  The kernel rides
+        along because codes past its base alphabet are interned in order
+        of first sight, so they mean something only in the same kernel.
+        """
+        sparse = tuple(
+            (code, count) for code, count in enumerate(self._emitted_by_code) if count
+        )
+        return self._kernel, sparse
+
+    def _load_traffic(self, traffic: tuple) -> None:
+        kernel, sparse = traffic
+        if kernel is not self._kernel:
+            raise SimulationError("checkpoint taken under another character kernel")
+        self._grow_code_tables()
+        emitted = self._emitted_by_code  # zeroed in place: closures hold it
+        emitted[:] = [0] * len(emitted)
+        for code, count in sparse:
+            emitted[code] = count
+        self._metrics = TrafficMetrics()
 
     # ------------------------------------------------------------------
     # metrics: counted per code in flat lists, materialized on read

@@ -115,6 +115,30 @@ class Processor(ABC):
         if ctx is not None:
             self.attach(ctx)
 
+    def save_state(self) -> tuple:
+        """Every register carried between ticks, as a tuple (checkpoints).
+
+        :meth:`load_state` restores it into an attached instance of the
+        same class — the engine restoring a checkpoint onto its own
+        processors.  A subclass that adds registers extends both methods:
+        its tuple holds the parent's tuple first, then its own registers.
+        The wiring context and the engine-installed fast paths are not
+        state (each engine installs its own).  Characters and outbox
+        entries are immutable, so they are shared, not copied.
+        """
+        return (
+            tuple(self._outbox),
+            self._next_due,
+            self._max_due,
+            self._seq,
+            self._tick,
+        )
+
+    def load_state(self, state: tuple) -> None:
+        """Restore the registers :meth:`save_state` captured."""
+        outbox, self._next_due, self._max_due, self._seq, self._tick = state
+        self._outbox = list(outbox)
+
     def begin_tick(self, tick: int) -> None:
         """Engine hook: set the current tick before handlers run."""
         self._tick = tick

@@ -240,6 +240,9 @@ class RunConfig:
             character remains anywhere (the protocol's straggling cleanup).
         drain_slack: extra ticks granted to the drain on top of
             ``max_ticks``.
+        before_drain: optional hook called with the engine once the run
+            condition holds, before any drain (a healthy run's terminal
+            checkpoint is taken there).
         after_tick: optional per-event-tick hook (called with the engine
             after each step).  Setting it forces the orchestrator onto the
             exact single-step path — the cleanup-invariant runner uses it
@@ -257,6 +260,7 @@ class RunConfig:
     start: bool = True
     drain: bool = True
     drain_slack: int = 1000
+    before_drain: Callable[[Engine], None] | None = field(default=None, compare=False)
     after_tick: Callable[[Engine], None] | None = field(default=None, compare=False)
     backend: str = DEFAULT_BACKEND
 
@@ -313,6 +317,8 @@ def execute_run(engine: Engine, config: RunConfig) -> RunResult:
         ticks = engine.run(
             max_ticks=config.max_ticks, until=config.until, start=False
         )
+    if config.before_drain is not None:
+        config.before_drain(engine)
     drained = ticks
     if config.drain:
         drained = engine.run_to_idle(max_ticks=config.max_ticks + config.drain_slack)

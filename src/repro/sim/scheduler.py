@@ -140,6 +140,32 @@ class EventWheel:
         self._ticks.clear()
         self._seq = 0
 
+    def snapshot(self) -> tuple:
+        """The wheel's contents as immutable data (engine checkpoints).
+
+        ``(seq, ((tick, ((node, entries), ...)), ...))`` in bucket and
+        node insertion order, which is the order :meth:`load` rebuilds —
+        delivery walks a bucket's nodes in that order.  The entry tuples
+        are immutable and shared, not copied.
+        """
+        return self._seq, tuple(
+            (tick, tuple((node, tuple(items)) for node, items in bucket.items()))
+            for tick, bucket in self._buckets.items()
+        )
+
+    def load(self, snapshot: tuple) -> None:
+        """Replace the contents with a :meth:`snapshot` (pools survive)."""
+        self.clear()
+        self._seq, buckets = snapshot
+        bucket_pool = self._bucket_pool
+        list_pool = self._list_pool
+        for tick, nodes in buckets:
+            bucket = self._buckets[tick] = bucket_pool.pop() if bucket_pool else {}
+            for node, entries in nodes:
+                items = bucket[node] = list_pool.pop() if list_pool else []
+                items.extend(entries)
+        self._ticks[:] = sorted(self._buckets)
+
     def recycle(self, bucket: dict[int, list]) -> None:
         """Clear a popped, fully-delivered bucket into the free pools."""
         list_pool = self._list_pool
@@ -239,6 +265,17 @@ class ActiveSet:
         tolerates that with one empty drain pass.
         """
         return self._due[0][0] if self._due else None
+
+    def snapshot(self) -> tuple:
+        """``(live nodes, due heap)``, stale heap entries kept as they are."""
+        return tuple(self.live), tuple(self._due)
+
+    def load(self, snapshot: tuple) -> None:
+        """Replace the state with a :meth:`snapshot` (``live`` in place)."""
+        live, due = snapshot
+        self.live.clear()
+        self.live.update(live)
+        self._due = list(due)
 
     def clear(self) -> None:
         """Forget every live node and due entry (engine reuse).

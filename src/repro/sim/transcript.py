@@ -19,7 +19,7 @@ structurally: :class:`~repro.protocol.root_computer.MasterComputer` takes a
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.sim.characters import Char
 
@@ -48,6 +48,15 @@ class Transcript:
         self.enabled = enabled
         self._events: list[TranscriptEvent] = []
 
+    @classmethod
+    def from_events(
+        cls, events: Iterable[TranscriptEvent], *, enabled: bool = True
+    ) -> "Transcript":
+        """A transcript already holding ``events`` (checkpoint restore)."""
+        transcript = cls(enabled=enabled)
+        transcript._events = list(events)
+        return transcript
+
     def record_recv(self, tick: int, in_port: int, char: Char) -> None:
         """Record a character arriving at the root."""
         if self.enabled:
@@ -73,6 +82,10 @@ class Transcript:
 
     def __len__(self) -> int:
         return len(self._events)
+
+    def __getitem__(self, index):
+        """One event, or a list of events for a slice."""
+        return self._events[index]
 
     def __iter__(self) -> Iterator[TranscriptEvent]:
         return self.events()
