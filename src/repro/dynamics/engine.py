@@ -51,14 +51,7 @@ from typing import Sequence
 from repro.errors import SimulationError, TopologyError
 from repro.sim.characters import Char
 from repro.sim.engine import Engine
-from repro.sim.flatcore import (
-    CODE_MASK,
-    PORT_MASK,
-    PORT_SHIFT,
-    SEQ_BITS,
-    SEQ_SHIFT,
-    FlatEngine,
-)
+from repro.sim.flatcore import PORT_SHIFT, FlatEngine
 from repro.sim.ladder import PrefixLadder
 from repro.sim.processor import Processor
 from repro.topology.compile import CUT, TopologyPatcher
@@ -336,13 +329,6 @@ class FlatDynamicEngine(DynamicWiringMixin, FlatEngine):
 
     def _init_dynamic_backend(self) -> None:
         self._patcher = TopologyPatcher(self._topo)
-        # stash the per-node fast-path closures installed by FlatEngine so
-        # degradation can park and later restore them
-        self._saved_sinks = {
-            node: (proc._direct_sink, proc._direct_broadcast)
-            for node, proc in enumerate(self.processors)
-            if proc._direct_sink is not None
-        }
         #: node -> set of currently degraded out-ports (cut or rewired)
         self._degraded_ports: dict[int, set[int]] = {}
 
@@ -384,19 +370,19 @@ class FlatDynamicEngine(DynamicWiringMixin, FlatEngine):
         self._toggle_sinks(wire.src, parked=bool(degraded))
 
     def _toggle_sinks(self, node: int, *, parked: bool) -> None:
-        saved = self._saved_sinks.get(node)
-        if saved is None:
+        paths = self._fast_paths.get(node)
+        if paths is None:
             return  # root, or a processor that never had the fast path
         proc = self.processors[node]
+        # the object sinks and the code handlers all schedule at send time
+        # through wire lists resolved at build time — wrong for a degraded
+        # node — so they park and restore in lock-step; the purge hook stays
+        # installed for the entries filed before the degradation
         if parked:
-            proc._direct_sink = None
-            proc._direct_broadcast = None
-            # code handlers emit at send time through wire lists resolved
-            # at build time — both wrong for a degraded node — so they park
-            # and restore in lock-step with the object sinks
+            proc._direct_sink = proc._direct_broadcast = None
             self._chandlers[node] = None
         else:
-            proc._direct_sink, proc._direct_broadcast = saved
+            proc._direct_sink, proc._direct_broadcast, _ = paths
             self._chandlers[node] = self._chandlers_all[node]
 
     def _rehome_wire_entries(self, wire: Wire) -> None:
@@ -414,47 +400,19 @@ class FlatDynamicEngine(DynamicWiringMixin, FlatEngine):
         arrival ``t + 1`` already departed and still arrive, as the model
         requires.
         """
-        wheel = self._wheel
-        chars = self._chars
-        emitted = self._emitted_by_code
-        proc = self.processors[wire.src]
-        in_port = wire.in_port
-        dst = wire.dst
-        seq_field = ((1 << SEQ_BITS) - 1) << SEQ_SHIFT
-        horizon = self.tick + 1
-        rehomed: list[tuple[int, Char]] = []
-        for arrival in sorted(wheel._buckets):
-            if arrival <= horizon:
-                continue
-            bucket = wheel._buckets[arrival]
-            lane = bucket.lanes.get(dst)
-            if not lane:
-                continue
-            kept: list[int] | None = None
-            for index, packed in enumerate(lane):
-                if ((packed >> PORT_SHIFT) & PORT_MASK) == in_port:
-                    if kept is None:
-                        kept = list(lane[:index])
-                    code = packed & CODE_MASK
-                    emitted[code] -= 1
-                    rehomed.append((arrival, chars[code]))
-                elif kept is not None:
-                    kept.append(packed)
-            if kept is not None:
-                del lane[:]
-                for index, packed in enumerate(kept):
-                    lane.append((packed & ~seq_field) | (index << SEQ_SHIFT))
-                if not lane:
-                    bucket.nodes.remove(dst)
-                if not bucket.nodes:
-                    del wheel._buckets[arrival]
-                    wheel.recycle(bucket)
+        rehomed = self._wheel.withdraw(
+            self.tick + 1, ((wire.dst, wire.in_port << PORT_SHIFT),)
+        )
         if rehomed:
+            chars = self._chars
+            emitted = self._emitted_by_code
+            proc = self.processors[wire.src]
             # ascending arrival == ascending departure; ties keep lane
             # (i.e. send) order, so outbox seq order matches the object
             # backend's send-time seq assignment
-            for arrival, char in rehomed:
-                proc._queue(wire.out_port, char, arrival - 1)
+            for arrival, code in rehomed:
+                emitted[code] -= 1
+                proc._queue(wire.out_port, chars[code], arrival - 1)
             self._active.update(wire.src, proc.next_due_tick())
 
     # ------------------------------------------------------------------

@@ -32,7 +32,16 @@ on dense integer tables instead of Python object graphs:
   order the object wheel's tuple sort produces;
 * per-kind traffic counters and per-node handler dispatch become
   code-indexed flat lists, flushed back into the shared
-  :class:`~repro.sim.metrics.TrafficMetrics` shape on read.
+  :class:`~repro.sim.metrics.TrafficMetrics` shape on read;
+* every non-root processor that purges only growing characters schedules
+  its sends at send time through one pair of per-node code sinks,
+  ``csend`` / ``cbroadcast`` (wire resolve, emission count, packed
+  append).  Code handlers call them directly; the object-path
+  ``send`` / ``broadcast`` reach them through thin adapters that encode
+  the :class:`~repro.sim.characters.Char` once.  Taking entries back out
+  — a KILL purging characters that would still rest in their sender, or
+  a cut pulling them back to the sender's outbox — is one wheel-level
+  lane filter, :meth:`PackedEventWheel.withdraw`.
 
 Delivery timing, fast-forward (:meth:`Engine._advance` is inherited
 unchanged), outbox residence and KILL purge semantics are all reused from
@@ -42,7 +51,7 @@ the base engine — this module replaces only the data plane.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import SimulationError
 from repro.sim.characters import (
@@ -141,17 +150,9 @@ class PackedEventWheel:
 
     def schedule(self, tick: int, node: int, in_port: int, char: Char) -> None:
         """File ``char`` for delivery at ``tick`` through ``in_port``."""
-        # hot path: every self.* used more than once is bound to a local
-        buckets = self._buckets
-        bucket = buckets.get(tick)
+        bucket = self._buckets.get(tick)
         if bucket is None:
-            ring = self._ring
-            bucket = ring.pop() if ring else _Bucket()
-            buckets[tick] = bucket
-            ticks = self._ticks
-            ticks.append(tick)
-            if len(ticks) > 1 and tick < ticks[-2]:
-                ticks.sort()
+            bucket = self.open_bucket(tick)
         lanes = bucket.lanes
         lane = lanes.get(node)
         if lane is None:
@@ -164,6 +165,76 @@ class PackedEventWheel:
             | (in_port << PORT_SHIFT)
             | (len(lane) << SEQ_SHIFT)
         )
+
+    def open_bucket(self, tick: int) -> _Bucket:
+        """Register an empty bucket for ``tick``, which must hold none yet.
+
+        The one place a bucket enters the wheel: it comes from the free
+        ring when one is there, and ``_ticks`` stays sorted.  Hot callers
+        try ``_buckets.get`` inline first and call this only on a miss.
+        """
+        ring = self._ring
+        bucket = self._buckets[tick] = ring.pop() if ring else _Bucket()
+        ticks = self._ticks
+        ticks.append(tick)
+        if len(ticks) > 1 and tick < ticks[-2]:
+            ticks.sort()
+        return bucket
+
+    def withdraw(
+        self,
+        after: int,
+        wires: Iterable[tuple[int, int]],
+        match: Callable[[int], bool] | None = None,
+    ) -> list[tuple[int, int]]:
+        """Remove entries arriving after tick ``after`` through ``wires``.
+
+        ``wires`` lists ``(dst, in_port << PORT_SHIFT)`` pairs: a lane and
+        the packed in-port field that names the sending wire.  ``match``
+        narrows the removal by character code (``None`` takes every entry
+        on those wires).  Returns the removed ``(arrival, code)`` pairs in
+        ascending arrival order, lane order within a tick.  The survivors'
+        sequence numbers are renumbered to stay dense, an emptied lane
+        leaves ``nodes`` and an emptied bucket leaves the wheel for the
+        free ring: an empty registered bucket would keep the engine "busy"
+        and step it to a tick where nothing happens.
+        """
+        buckets = self._buckets
+        port_field = PORT_MASK << PORT_SHIFT
+        seq_field = ((1 << SEQ_BITS) - 1) << SEQ_SHIFT
+        removed: list[tuple[int, int]] = []
+        for arrival in sorted(buckets):
+            if arrival <= after:
+                continue
+            bucket = buckets[arrival]
+            lanes = bucket.lanes
+            for dst, shifted_in in wires:
+                lane = lanes.get(dst)
+                if not lane:
+                    continue
+                kept: list[int] | None = None
+                for index, packed in enumerate(lane):
+                    code = packed & CODE_MASK
+                    if packed & port_field == shifted_in and (
+                        match is None or match(code)
+                    ):
+                        if kept is None:
+                            kept = list(lane[:index])
+                        removed.append((arrival, code))
+                    elif kept is not None:
+                        kept.append(packed)
+                if kept is not None:
+                    del lane[:]
+                    lane.extend(
+                        (packed & ~seq_field) | (seq << SEQ_SHIFT)
+                        for seq, packed in enumerate(kept)
+                    )
+                    if not lane:
+                        bucket.nodes.remove(dst)
+            if not bucket.nodes:
+                del buckets[arrival]
+                self.recycle(bucket)
+        return removed
 
     def pop(self, tick: int) -> _Bucket | None:
         """Remove and return the arrivals bucket for ``tick`` (or ``None``).
@@ -178,9 +249,10 @@ class PackedEventWheel:
         """Empty the wheel in place, preserving container identity.
 
         Engine reuse requires clearing rather than replacing: the flat
-        engine's send-time sink closures captured ``_buckets``, ``_ticks``
-        and ``_ring`` at install time, so those exact objects must survive
-        a reset (``_ticks`` is emptied via slice-delete, never rebound).
+        engine's send-time sink closures captured ``_buckets`` and this
+        wheel's :meth:`open_bucket` at install time, so the containers
+        must survive a reset (``_ticks`` is emptied via slice-delete,
+        never rebound).
         Recycled buckets stay in the free ring for the next run.
         """
         buckets = self._buckets
@@ -219,11 +291,9 @@ class PackedEventWheel:
         send-time closures keep scheduling into this very wheel.
         """
         self.clear()
-        buckets = self._buckets
-        ring = self._ring
         width = array("q").itemsize
         for tick, nodes, lengths, blob in snapshot:
-            bucket = buckets[tick] = ring.pop() if ring else _Bucket()
+            bucket = self.open_bucket(tick)
             lanes = bucket.lanes
             view = memoryview(blob)
             start = 0
@@ -235,7 +305,6 @@ class PackedEventWheel:
                 lane.frombytes(view[start:end])
                 start = end
             bucket.nodes.extend(nodes)
-        self._ticks[:] = sorted(buckets)
 
     def recycle(self, bucket: _Bucket) -> None:
         """Clear a delivered bucket and return it to the free ring."""
@@ -334,36 +403,37 @@ class FlatEngine(Engine):
             list(shared_in_shift) if self.MUTATES_TOPOLOGY else shared_in_shift
         )
         #: node -> (sink, broadcast, purge) closures, kept so a reset can
-        #: re-install the very same objects (they memoize per-node state
-        #: and the dynamic engine parks/restores them by identity)
+        #: re-install the very same objects and the dynamic engine can
+        #: park and restore them
         self._fast_paths: dict[int, tuple] = {}
-        for node, proc in enumerate(processors):
-            if node != root and proc.PURGES_ONLY_GROWING:
-                paths = (
-                    self._make_direct_sink(node),
-                    self._make_broadcast_sink(node),
-                    self._make_purge_hook(node),
-                )
-                self._fast_paths[node] = paths
-                proc._direct_sink, proc._direct_broadcast, proc._purge_hook = paths
         #: node -> code-indexed list of code-space handlers, or None (object
-        #: path).  Only nodes on the send-time fast path qualify — the code
-        #: sinks schedule at send time, which is exactly the
-        #: PURGES_ONLY_GROWING licence the direct sinks already require.
-        #: The code loop inlines ``begin_tick`` as a plain attribute store,
-        #: so an override of it also disqualifies a processor.
+        #: path).  Every send-time node gets the code sinks; the object
+        #: sinks are thin adapters onto them.  The code loop inlines
+        #: ``begin_tick`` as a plain attribute store, so an override of it
+        #: keeps a processor off the code handlers (not off the sinks).
         base_begin = Processor.begin_tick
         self._chandlers_all: list[list | None] = [None] * len(processors)
-        for node in self._fast_paths:
-            proc = processors[node]
-            if type(proc).begin_tick is not base_begin:
+        for node, proc in enumerate(processors):
+            if node == root or not proc.PURGES_ONLY_GROWING:
                 continue
-            self._chandlers_all[node] = proc.code_handler_table(
-                kernel,
-                self._chars,
-                self._make_code_sink(node),
-                self._make_code_broadcast(node),
+            # (dst, in_port << PORT_SHIFT) per connected out-port: where
+            # this node's broadcasts land and its purges search
+            slot_base = node * self._topo.stride
+            wires = tuple(
+                (self._topo.wire_dst[slot], self._in_shift[slot])
+                for slot in (slot_base + p for p in self._topo.out_ports_of(node))
             )
+            csend, cbroadcast = self._make_code_sinks(node, wires)
+            paths = (
+                *self._make_object_sinks(csend, cbroadcast),
+                self._make_purge_hook(wires),
+            )
+            self._fast_paths[node] = paths
+            proc._direct_sink, proc._direct_broadcast, proc._purge_hook = paths
+            if type(proc).begin_tick is base_begin:
+                self._chandlers_all[node] = proc.code_handler_table(
+                    kernel, self._chars, csend, cbroadcast
+                )
         #: the live view: the dynamic engine parks a degraded node's entry
         #: (sets it None) and restores it, mirroring its sink parking
         self._chandlers: list[list | None] = list(self._chandlers_all)
@@ -705,8 +775,8 @@ class FlatEngine(Engine):
             f"node {node} emitted {char} through unconnected out-port {out_port}"
         )
 
-    def _make_direct_sink(self, node: int):
-        """A send-time scheduler for ``node``'s outgoing characters.
+    def _make_object_sinks(self, csend, cbroadcast) -> tuple:
+        """Adapt the code sinks to the object sends: ``(sink, sink_many)``.
 
         Installed on processors that declare ``PURGES_ONLY_GROWING`` (and
         never on the root — its transcript must record sends in drain
@@ -714,96 +784,19 @@ class FlatEngine(Engine):
         send time, so it can skip the outbox/drain round trip and land
         directly in its packed wheel lane; the companion purge hook
         (:meth:`_make_purge_hook`) keeps KILL semantics exact for growing
-        characters.  Declines (returns False) while a tracer is attached,
-        because tracers expect emission records at drain time.
+        characters.  ``sink(out_port, char, arrival)`` and ``sink_many(char,
+        arrival)`` (every connected out-port, as
+        :meth:`~repro.sim.processor.Processor.broadcast` sends) encode the
+        character once — interning a stray and growing the per-code tables
+        — and hand its code to ``csend`` / ``cbroadcast``.  Both decline
+        (return False) while a tracer is attached, because tracers expect
+        emission records at drain time.
         """
-        topo = self._topo
-        slot_base = node * topo.stride
-        wire_dst = topo.wire_dst
-        in_shift = self._in_shift
-        wheel = self._wheel
-        buckets = wheel._buckets
-        ring = wheel._ring
-        ticks = wheel._ticks
         id_base = self._id_base
-        encode_base = wheel.encode_base
+        encode_base = self._wheel.encode_base
         emitted = self._emitted_by_code  # extended in place, never rebound
-        prev_char: Char | None = None
-        prev_base = 0
 
         def sink(out_port: int, char: Char, arrival: int) -> bool:
-            nonlocal prev_char, prev_base
-            if self.tracer is not None:
-                return False
-            slot = slot_base + out_port
-            dst = wire_dst[slot]
-            if dst < 0:
-                raise SimulationError(
-                    f"node {node} emitted {char} through unconnected "
-                    f"out-port {out_port}"
-                )
-            if char is prev_char:  # broadcasts queue one object per port
-                base = prev_base
-            else:
-                base = id_base.get(id(char))
-                if base is None:
-                    base = encode_base(char)
-                    if (base & CODE_MASK) >= len(emitted):
-                        self._grow_code_tables()
-                prev_char = char
-                prev_base = base
-            emitted[base & CODE_MASK] += 1
-            bucket = buckets.get(arrival)
-            if bucket is None:
-                bucket = ring.pop() if ring else _Bucket()
-                buckets[arrival] = bucket
-                ticks.append(arrival)
-                if len(ticks) > 1 and arrival < ticks[-2]:
-                    ticks.sort()
-            lanes = bucket.lanes
-            lane = lanes.get(dst)
-            if lane is None:
-                lane = lanes[dst] = array("q")
-                bucket.nodes.append(dst)
-            elif not lane:
-                bucket.nodes.append(dst)
-            lane.append(base | in_shift[slot] | (len(lane) << SEQ_SHIFT))
-            return True
-
-        return sink
-
-    def _make_broadcast_sink(self, node: int):
-        """The :meth:`_make_direct_sink` fast path, batched per broadcast.
-
-        One call encodes the character once and appends an entry per
-        connected out-port — broadcasts are the protocol's dominant
-        emission shape (flood relays), so the per-port call overhead is
-        worth eliminating.  Ports come from the processor's own context,
-        which only lists connected out-ports, so no unwired-slot check is
-        needed.
-        """
-        topo = self._topo
-        slot_base = node * topo.stride
-        # (dst, in_port << PORT_SHIFT) per connected out-port, in port order
-        # — the shape a broadcast walks, fully resolved ahead of time.
-        all_wires = tuple(
-            (topo.wire_dst[slot_base + port], self._in_shift[slot_base + port])
-            for port in topo.out_ports_of(node)
-        )
-        all_ports = None  # resolved lazily: ctx exists only after attach
-        wheel = self._wheel
-        buckets = wheel._buckets
-        ring = wheel._ring
-        ticks = wheel._ticks
-        id_base = self._id_base
-        encode_base = wheel.encode_base
-        emitted = self._emitted_by_code  # extended in place, never rebound
-        wire_dst = topo.wire_dst
-        in_shift = self._in_shift
-        proc = self.processors[node]
-
-        def sink_many(ports: tuple, char: Char, arrival: int) -> bool:
-            nonlocal all_ports
             if self.tracer is not None:
                 return False
             base = id_base.get(id(char))
@@ -811,78 +804,60 @@ class FlatEngine(Engine):
                 base = encode_base(char)
                 if (base & CODE_MASK) >= len(emitted):
                     self._grow_code_tables()
-            emitted[base & CODE_MASK] += len(ports)
-            bucket = buckets.get(arrival)
-            if bucket is None:
-                bucket = ring.pop() if ring else _Bucket()
-                buckets[arrival] = bucket
-                ticks.append(arrival)
-                if len(ticks) > 1 and arrival < ticks[-2]:
-                    ticks.sort()
-            lanes = bucket.lanes
-            nodes = bucket.nodes
-            if all_ports is None:
-                all_ports = proc.ctx.out_ports
-            if ports is all_ports:  # the broadcast shape, pre-resolved
-                wires = all_wires
-            else:
-                wires = [
-                    (wire_dst[slot_base + port], in_shift[slot_base + port])
-                    for port in ports
-                ]
-            for dst, shifted_in in wires:
-                lane = lanes.get(dst)
-                if lane is None:
-                    lane = lanes[dst] = array("q")
-                    nodes.append(dst)
-                elif not lane:
-                    nodes.append(dst)
-                lane.append(base | shifted_in | (len(lane) << SEQ_SHIFT))
+            csend(out_port, base & CODE_MASK, arrival)
             return True
 
-        return sink_many
+        def sink_many(char: Char, arrival: int) -> bool:
+            if self.tracer is not None:
+                return False
+            base = id_base.get(id(char))
+            if base is None:
+                base = encode_base(char)
+                if (base & CODE_MASK) >= len(emitted):
+                    self._grow_code_tables()
+            cbroadcast(base & CODE_MASK, arrival)
+            return True
 
-    def _make_code_sink(self, node: int):
-        """A send-time scheduler over raw character codes.
+        return sink, sink_many
 
-        The code-space companion of :meth:`_make_direct_sink`, handed to
-        :meth:`~repro.sim.processor.Processor.code_handler_table` as
-        ``csend(out_port, code, arrival_tick)``.  No intern lookup, no
-        identity memo, no decline protocol: the caller is a code handler,
-        which only ever runs when no tracer is attached (gated per tick)
-        and only ever emits kernel codes — so the body is the wire resolve,
-        the emission count, and the packed append.  Raises the same
-        :class:`~repro.errors.SimulationError` as the object sink on an
-        unconnected slot.
+    def _make_code_sinks(self, node: int, all_wires: tuple) -> tuple:
+        """``node``'s send-time schedulers over codes: ``(csend, cbroadcast)``.
+
+        Called as ``csend(out_port, code, arrival_tick)`` and
+        ``cbroadcast(code, arrival_tick)`` by the code handlers
+        (:meth:`~repro.sim.processor.Processor.code_handler_table`) and by
+        the object sink adapters (:meth:`_make_object_sinks`).  No intern
+        lookup and no decline protocol: the callers have encoded the
+        character and checked for a tracer, so each body is the wire
+        resolve, the emission count, and the packed append.  ``csend``
+        raises :class:`~repro.errors.SimulationError` on an unconnected
+        slot.  A broadcast always goes through every connected out-port
+        (the §2.3.2 flood shape), so ``all_wires`` is resolved once at build
+        time; the dynamic engine parks a node's send-time paths whenever
+        its out-wiring degrades, so the list never goes stale while in use.
         """
         topo = self._topo
         slot_base = node * topo.stride
         wire_dst = topo.wire_dst
         in_shift = self._in_shift
-        wheel = self._wheel
-        buckets = wheel._buckets
-        ring = wheel._ring
-        ticks = wheel._ticks
+        n_ports = len(all_wires)
+        buckets = self._wheel._buckets
+        open_bucket = self._wheel.open_bucket
         emitted = self._emitted_by_code  # extended in place, never rebound
         code_base = self._kernel.code_base
-        chars = self._chars
 
         def csend(out_port: int, code: int, arrival: int) -> None:
             slot = slot_base + out_port
             dst = wire_dst[slot]
             if dst < 0:
                 raise SimulationError(
-                    f"node {node} emitted {chars[code]} through unconnected "
-                    f"out-port {out_port}"
+                    f"node {node} emitted {self._chars[code]} through "
+                    f"unconnected out-port {out_port}"
                 )
             emitted[code] += 1
             bucket = buckets.get(arrival)
             if bucket is None:
-                bucket = ring.pop() if ring else _Bucket()
-                buckets[arrival] = bucket
-                ticks.append(arrival)
-                if len(ticks) > 1 and arrival < ticks[-2]:
-                    ticks.sort()
+                bucket = open_bucket(arrival)
             lanes = bucket.lanes
             lane = lanes.get(dst)
             if lane is None:
@@ -892,42 +867,11 @@ class FlatEngine(Engine):
                 bucket.nodes.append(dst)
             lane.append(code_base[code] | in_shift[slot] | (len(lane) << SEQ_SHIFT))
 
-        return csend
-
-    def _make_code_broadcast(self, node: int):
-        """The code-space :meth:`_make_broadcast_sink`: one call, all ports.
-
-        Handed to ``code_handler_table`` as ``cbroadcast(code,
-        arrival_tick)``.  Code handlers always broadcast through every
-        connected out-port (the §2.3.2 flood shape), so the wire list is
-        resolved once at build time; the dynamic engine parks a node's code
-        handlers whenever its out-wiring degrades, exactly as it parks the
-        object sinks, so the precomputed list never goes stale while in
-        use.
-        """
-        topo = self._topo
-        slot_base = node * topo.stride
-        all_wires = tuple(
-            (topo.wire_dst[slot_base + port], self._in_shift[slot_base + port])
-            for port in topo.out_ports_of(node)
-        )
-        n_ports = len(all_wires)
-        wheel = self._wheel
-        buckets = wheel._buckets
-        ring = wheel._ring
-        ticks = wheel._ticks
-        emitted = self._emitted_by_code  # extended in place, never rebound
-        code_base = self._kernel.code_base
-
         def cbroadcast(code: int, arrival: int) -> None:
             emitted[code] += n_ports
             bucket = buckets.get(arrival)
             if bucket is None:
-                bucket = ring.pop() if ring else _Bucket()
-                buckets[arrival] = bucket
-                ticks.append(arrival)
-                if len(ticks) > 1 and arrival < ticks[-2]:
-                    ticks.sort()
+                bucket = open_bucket(arrival)
             lanes = bucket.lanes
             nodes = bucket.nodes
             base = code_base[code]
@@ -940,84 +884,38 @@ class FlatEngine(Engine):
                     nodes.append(dst)
                 lane.append(base | shifted_in | (len(lane) << SEQ_SHIFT))
 
-        return cbroadcast
+        return csend, cbroadcast
 
-    def _make_purge_hook(self, node: int):
-        """Erase ``node``'s pre-scheduled, still-purgeable characters.
+    def _make_purge_hook(self, out_wires: tuple):
+        """Erase a node's pre-scheduled, still-purgeable characters.
 
         Under outbox semantics a character rests in its sender until its
         departure tick; a KILL arriving now may erase it.  The direct sink
         has already filed those characters into future wheel buckets, so
-        the purge walks every future bucket (there are at most a handful —
-        the residence horizon), filters ``node``'s entries out of the lanes
-        of its wire destinations (the arrival in-port identifies the wire,
-        hence the sender), and renumbers the surviving lane sequence
-        numbers to keep them dense.  Emission counters are rolled back so
-        traffic metrics match the object backend, which never counts a
-        purged character as emitted.
+        the purge withdraws the matching entries on the node's
+        ``out_wires`` from every future bucket
+        (:meth:`PackedEventWheel.withdraw`; the arrival in-port identifies
+        the wire, hence the sender).  Emission counters are
+        rolled back so traffic metrics match the object backend, which
+        never counts a purged character as emitted.
         """
-        topo = self._topo
-        stride = topo.stride
-        out_wires: list[tuple[int, int]] = []  # (dst, in_port)
-        for port in topo.out_ports_of(node):
-            slot = node * stride + port
-            out_wires.append((topo.wire_dst[slot], topo.wire_in_port[slot]))
-        wheel = self._wheel
+        withdraw = self._wheel.withdraw
         chars = self._chars
         emitted = self._emitted_by_code  # extended in place, never rebound
         growing_code = self._kernel.growing_code  # extended by the kernel
-        seq_field = ((1 << SEQ_BITS) - 1) << SEQ_SHIFT
 
         def purge(predicate) -> int:
-            removed = 0
-            now = self.tick
-            for arrival, bucket in list(wheel._buckets.items()):
-                if arrival <= now:
-                    continue  # already departed under outbox semantics
-                lanes = bucket.lanes
-                for dst, in_port in out_wires:
-                    lane = lanes.get(dst)
-                    if not lane:
-                        continue
-                    kept: list[int] | None = None
-                    for index, packed in enumerate(lane):
-                        code = packed & CODE_MASK
-                        # the PURGES_ONLY_GROWING contract: the predicate
-                        # can only ever match growing-snake kinds, so
-                        # everything else skips the decode + call
-                        if (
-                            growing_code[code]
-                            and ((packed >> PORT_SHIFT) & PORT_MASK) == in_port
-                            and predicate(chars[code])
-                        ):
-                            if kept is None:
-                                kept = list(lane[:index])
-                            removed += 1
-                            emitted[code] -= 1
-                        elif kept is not None:
-                            kept.append(packed)
-                    if kept is not None:
-                        del lane[:]
-                        for index, packed in enumerate(kept):
-                            lane.append(
-                                (packed & ~seq_field) | (index << SEQ_SHIFT)
-                            )
-                        if not lane:
-                            # keep the "listed once ⟺ lane non-empty"
-                            # invariant: a later schedule into the emptied
-                            # lane re-appends the node
-                            bucket.nodes.remove(dst)
-                if not bucket.nodes:
-                    # The purge emptied the whole bucket.  Leaving it in
-                    # the wheel would keep the engine "busy" (is_idle,
-                    # next_tick and the fast-forward all key off bucket
-                    # presence) and make run_to_idle step to a tick where
-                    # nothing happens — a tick-count divergence from the
-                    # object backend, whose purge empties outboxes before
-                    # they ever reach the wheel.
-                    del wheel._buckets[arrival]
-                    wheel.recycle(bucket)
-            return removed
+            # the PURGES_ONLY_GROWING contract: the predicate can only ever
+            # match growing-snake kinds, so everything else skips the call;
+            # entries arriving by now already departed under outbox semantics
+            removed = withdraw(
+                self.tick,
+                out_wires,
+                lambda code: growing_code[code] and predicate(chars[code]),
+            )
+            for _, code in removed:
+                emitted[code] -= 1
+            return len(removed)
 
         return purge
 
@@ -1046,12 +944,7 @@ class FlatEngine(Engine):
             next_tick = tick + 1
             bucket = wheel._buckets.get(next_tick)
             if bucket is None:
-                bucket = wheel._ring.pop() if wheel._ring else _Bucket()
-                wheel._buckets[next_tick] = bucket
-                ticks = wheel._ticks
-                ticks.append(next_tick)
-                if len(ticks) > 1 and next_tick < ticks[-2]:
-                    ticks.sort()
+                bucket = wheel.open_bucket(next_tick)
             lanes = bucket.lanes
             touched = bucket.nodes
             # per-entry lookups hoisted out of the loop: bound methods for
@@ -1098,7 +991,7 @@ class FlatEngine(Engine):
             if not touched:
                 # every entry was blocked (dynamic cut wires): an empty
                 # registered bucket would keep the engine "busy" one tick
-                # past the object backend — same cleanup as the purge hook
+                # past the object backend — same cleanup as withdraw
                 del wheel._buckets[next_tick]
                 wheel.recycle(bucket)
         self._active.update(node, proc._next_due)

@@ -76,16 +76,17 @@ class Processor(ABC):
         self._seq = 0
         self._tick = 0
         #: engine-installed fast path (flat-core backend): called as
-        #: ``sink(out_port, char, arrival_tick)``; returns False to decline
-        #: (the send then rests in the outbox).
+        #: ``sink(out_port, char, arrival_tick)``, it files the character
+        #: through the engine's code sink; returns False to decline (the
+        #: send then rests in the outbox).
         self._direct_sink: Callable[[int, Char, int], bool] | None = None
         #: engine-installed companion to the sink: purges this processor's
         #: directly-scheduled characters that are still purgeable (i.e.
         #: would still be resting here under outbox semantics).
         self._purge_hook: Callable[[Callable[[Char], bool]], int] | None = None
-        #: batched sink for broadcasts: ``(ports, char, arrival) -> bool``,
-        #: one call schedules the character through every port.
-        self._direct_broadcast: Callable[[tuple, Char, int], bool] | None = None
+        #: batched sink for broadcasts: ``(char, arrival) -> bool`` files
+        #: the character through every connected out-port in one call.
+        self._direct_broadcast: Callable[[Char, int], bool] | None = None
 
     # ------------------------------------------------------------------
     # engine plumbing
@@ -239,7 +240,7 @@ class Processor(ABC):
         assert self.ctx is not None
         due = self._tick + (0 if char.kind in SPEED3_KINDS else 2) + extra_delay
         many = self._direct_broadcast
-        if many is not None and many(self.ctx.out_ports, char, due + 1):
+        if many is not None and many(char, due + 1):
             return
         for port in self.ctx.out_ports:
             self._queue(port, char, due)

@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from repro.analysis.run_stats import CampaignStats, RcaEpisode, aggregate_stats
 from repro.campaigns.executor import ScenarioResult
 from repro.campaigns.spec import CampaignSpec, Scenario
-from repro.errors import StoreError
+from repro.errors import ReproError, StoreError
 from repro.store.artifacts import write_atomically
 
 __all__ = [
@@ -172,10 +172,31 @@ def result_from_doc(doc: dict) -> ScenarioResult:
     round-tripped result compares ``==`` to the original dataclass.
     """
     try:
-        scenario = Scenario(**doc["scenario"])
-    except (KeyError, TypeError) as exc:
+        scenario = _scenario_from_doc(doc["scenario"])
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
         raise StoreError(f"malformed result record: {exc}") from exc
     return ScenarioResult(scenario, *_body_from_doc(doc))
+
+
+def _scenario_from_doc(doc: dict) -> Scenario:
+    """A stored scenario mapping as a :class:`Scenario` fit to hash.
+
+    Construction checks the fault and backend; ``canonical`` the integers.
+    """
+    scenario = Scenario(**doc)
+    scenario.canonical()
+    return scenario
+
+
+def _read_manifest(path: Path) -> dict:
+    """The parsed manifest; :class:`StoreError` unless it is a JSON object."""
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise StoreError(f"unreadable manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise StoreError(f"manifest {path} is not a JSON object")
+    return manifest
 
 
 def _is_retired(scenario: object) -> bool:
@@ -203,7 +224,8 @@ def _scan_shard(shard: Path) -> Iterator[tuple[int, int, object]]:
     is a :class:`_Payload` for a payload line; ``(key, result)`` for a
     record of either shape; ``(key, None)`` for a record of a retired
     backend; the decoding error for a corrupt line, including a record
-    that names a payload no earlier line of this file holds; or
+    that names a payload no earlier line of this file holds or whose
+    scenario fails validation (:func:`_scenario_from_doc`); or
     :data:`_TORN` for the bytes after the file's last newline.  Those are
     torn whatever they parse as: every commit ends in a newline, so an
     unterminated line is a commit cut short, and the next commit would
@@ -240,8 +262,8 @@ def _scan_shard(shard: Path) -> Iterator[tuple[int, int, object]]:
                     raise StoreError(
                         f"record names unknown payload {line['payload']!r}"
                     )
-                result = ScenarioResult(Scenario(**line["scenario"]), *body)
-        except (json.JSONDecodeError, KeyError, TypeError, StoreError) as exc:
+                result = ScenarioResult(_scenario_from_doc(line["scenario"]), *body)
+        except (KeyError, TypeError, ValueError, ReproError) as exc:
             yield lineno, start, exc
             continue
         yield lineno, start, (key, result)
@@ -286,13 +308,7 @@ class ResultStore:
     # -- layout and loading ---------------------------------------------
     def _init_layout(self) -> None:
         if self._manifest.exists():
-            try:
-                manifest = json.loads(self._manifest.read_text())
-            except json.JSONDecodeError as exc:
-                raise StoreError(
-                    f"unreadable manifest {self._manifest}: {exc}"
-                ) from exc
-            self._format = manifest.get("format")
+            self._format = _read_manifest(self._manifest).get("format")
             if self._format not in (_V1_FORMAT, STORE_FORMAT):
                 raise StoreError(
                     f"{self.root} is not a {STORE_FORMAT} store "
@@ -311,7 +327,7 @@ class ResultStore:
         Runs before the first commit appends payload lines, so the log
         never holds a line older code would misparse under a tag it reads.
         """
-        manifest = json.loads(self._manifest.read_text())
+        manifest = _read_manifest(self._manifest)
         manifest["format"] = STORE_FORMAT
         data = (json.dumps(manifest, indent=2) + "\n").encode()
         write_atomically(self._manifest, data, ".MANIFEST.")
@@ -485,7 +501,8 @@ class StoreVerifyReport:
     """What an offline scan of a result store's files found.
 
     ``problems`` are lines that cannot be trusted — unparseable JSON in
-    the middle of a file, a line that fails deserialization, a payload
+    the middle of a file, a line that fails deserialization (a scenario
+    that fails validation included), a payload
     whose body does not hash to its digest, a record that names a payload
     its file does not hold, or a key that does not match the stored
     scenario's recomputed spec hash.  ``torn`` entries are unterminated
@@ -555,9 +572,9 @@ def verify_result_store(root: str | os.PathLike) -> StoreVerifyReport:
         report.problems.append(f"{manifest_path.name}: missing manifest")
         return report
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        report.problems.append(f"{manifest_path.name}: unreadable ({exc})")
+        manifest = _read_manifest(manifest_path)
+    except StoreError as exc:
+        report.problems.append(f"{manifest_path.name}: {exc}")
         return report
     if manifest.get("format") not in (_V1_FORMAT, STORE_FORMAT):
         report.problems.append(

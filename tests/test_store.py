@@ -582,6 +582,39 @@ class TestStoreVerify:
         assert report.duplicates == 0 and not report.torn
         assert "0 corrupt record(s)" in report.summary()
 
+    @pytest.mark.parametrize("manifest", ["[]", '"v2"', "null", "3"])
+    def test_non_object_manifest_is_a_store_error(self, capsys, tmp_path, manifest):
+        ResultStore(tmp_path / "run")
+        (tmp_path / "run" / "MANIFEST.json").write_text(manifest)
+        with pytest.raises(StoreError, match="not a JSON object"):
+            ResultStore(tmp_path / "run")
+        report = verify_result_store(tmp_path / "run")
+        assert not report.ok
+        assert "not a JSON object" in report.problems[0]
+        assert main(["store", str(tmp_path / "run"), "--verify"]) == 1
+        assert "CORRUPT MANIFEST.json" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "field, value", [("fault", "bogus"), ("backend", "nope"), ("seed", "x")]
+    )
+    def test_record_with_an_invalid_scenario_is_corrupt(
+        self, capsys, tmp_path, field, value
+    ):
+        ResultStore(tmp_path / "run").put(run_scenario(Scenario("de-bruijn", 6)))
+        log = tmp_path / "run" / "shards" / "log.jsonl"
+        payload, record = log.read_text().splitlines()
+        doc = json.loads(record)
+        doc["scenario"][field] = value
+        log.write_text(f"{payload}\n{json.dumps(doc)}\n")
+        with pytest.raises(StoreError, match="corrupt record at log.jsonl:2"):
+            ResultStore(tmp_path / "run")
+        report = verify_result_store(tmp_path / "run")
+        assert [p.split(":")[:2] for p in report.problems] == [["log.jsonl", "2"]]
+        assert main(["store", str(tmp_path / "run"), "--verify"]) == 1
+        out = capsys.readouterr().out
+        assert "CORRUPT log.jsonl:2:" in out
+        assert "1 corrupt record(s)" in out
+
     def test_verify_is_read_only_and_reports_torn_tail(self, tmp_path):
         store = ResultStore(tmp_path / "run")
         store.put(run_scenario(Scenario("de-bruijn", 6)))

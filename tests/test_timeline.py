@@ -26,6 +26,7 @@ from repro.dynamics import (
 from repro.dynamics.engine import validate_wire_ops
 from repro.errors import ReproError, TopologyError
 from repro.protocol.gtd import GTDProcessor
+from repro.sim.flatcore import PORT_MASK, PORT_SHIFT
 from repro.topology.faults import WireState, shutdown_out_ports
 from repro.topology.portgraph import PortGraph, Wire
 from repro.topology.properties import is_strongly_connected
@@ -267,6 +268,77 @@ class TestIdleParity:
             idle_ticks[name] = engine.run_to_idle(max_ticks=100000)
             assert engine.is_idle()
         assert idle_ticks["object"] == idle_ticks["flat"]
+
+
+class TestCutRehome:
+    """A cut pulls characters the send-time sinks filed ahead back into the
+    sender's outbox, where their departure tick decides their fate."""
+
+    @staticmethod
+    def _prescheduled(g: PortGraph) -> tuple[int, Wire]:
+        """The first tick at whose end a non-root node's character sits in
+        the wheel at least three ticks ahead, and the wire it travels."""
+        engine = FlatDynamicEngine(g, [GTDProcessor() for _ in g.nodes()], [])
+        engine.start()
+        while engine.tick < 100:
+            engine.step_tick()
+            for arrival, bucket in engine._wheel._buckets.items():
+                if arrival < engine.tick + 3:
+                    continue
+                for dst in bucket.nodes:
+                    for packed in bucket.lanes[dst]:
+                        in_port = (packed >> PORT_SHIFT) & PORT_MASK
+                        wire = g.in_wire(dst, in_port)
+                        if wire.src != engine.root:
+                            return engine.tick, wire
+        raise AssertionError("no send-time character scheduled ahead")
+
+    @pytest.mark.parametrize("heal", [False, True], ids=["stays-cut", "healed"])
+    def test_rehomed_characters_match_the_object_backend(self, heal):
+        g = spare_ring(8)
+        cut_tick, wire = self._prescheduled(g)
+        ops = [WireMutation(cut_tick, "cut", wire)]
+        if heal:  # back before any rehomed character departs
+            ops.append(WireMutation(cut_tick + 1, "heal", wire))
+        runs = {}
+        for engine_cls in (DynamicEngine, FlatDynamicEngine):
+            procs = [GTDProcessor() for _ in g.nodes()]
+            engine = engine_cls(g, procs, ops)
+            engine.start()
+            while engine.tick < cut_tick:
+                engine.step_tick()
+            if engine_cls is FlatDynamicEngine:
+                rehomed = [
+                    entry
+                    for entry in procs[wire.src]._outbox
+                    if entry.out_port == wire.out_port
+                ]
+                assert rehomed and all(e.due_tick >= cut_tick + 2 for e in rehomed)
+                # the last rehomed character leaves after the heal op
+                due = max(e.due_tick for e in rehomed)
+                while engine.tick < due - 1:
+                    engine.step_tick()
+                lost = engine.lost_characters
+                engine.step_tick()
+                bucket = engine._wheel._buckets.get(due + 1)
+                refiled = bucket is not None and any(
+                    (packed >> PORT_SHIFT) & PORT_MASK == wire.in_port
+                    for packed in bucket.lanes.get(wire.dst, ())
+                )
+                if heal:
+                    assert refiled and engine.lost_characters == lost
+                else:
+                    assert not refiled and engine.lost_characters > lost
+            engine.run_to_idle(max_ticks=50_000)
+            runs[engine_cls] = (
+                engine.tick,
+                [repr(event) for event in engine.transcript.events()],
+                dict(engine.metrics.emitted),
+                dict(engine.metrics.delivered),
+                engine.lost_characters,
+            )
+        assert runs[FlatDynamicEngine] == runs[DynamicEngine]
+        assert (runs[DynamicEngine][-1] == 0) is heal
 
 
 class TestWireStateBookkeeping:
