@@ -22,18 +22,14 @@ import repro.sim.processor as processor_module
 from repro import determine_topology
 from repro.errors import CleanupViolation, ProtocolViolation, TickBudgetExceeded
 from repro.protocol.automaton import ProtocolProcessor
-from repro.sim.characters import residence as real_residence
 from repro.topology import generators
 from repro.util.tables import format_table
 
 from _report import report
 
-
-def slow_kill_residence(char):
-    """Ablation: KILL travels at snake speed (residence 3, not 1)."""
-    if char.kind == "KILL":
-        return 3
-    return real_residence(char)
+#: Ablation: the speed-3 kinds without KILL, so KILL travels at snake
+#: speed (residence 3, not 1) while UNMARK keeps its speed.
+SLOW_KILL_SPEED3_KINDS = frozenset({"UNMARK"})
 
 
 def run_ablation(monkeypatch) -> list[tuple]:
@@ -47,7 +43,7 @@ def run_ablation(monkeypatch) -> list[tuple]:
 
     # ablation 1: slow KILL
     with monkeypatch.context() as m:
-        m.setattr(processor_module, "residence", slow_kill_residence)
+        m.setattr(processor_module, "SPEED3_KINDS", SLOW_KILL_SPEED3_KINDS)
         try:
             determine_topology(graph, verify_cleanup=True)
             outcome, detail = "UNEXPECTED PASS", "-"

@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from repro.errors import TranscriptError
 from repro.sim.characters import SCOPE_RCA
@@ -27,6 +28,8 @@ __all__ = [
     "RcaEpisode",
     "rca_episodes",
     "episode_scaling",
+    "weighted_episode_scaling",
+    "episode_groups",
     "phase_outcome_counts",
     "CampaignStats",
     "aggregate_stats",
@@ -97,19 +100,35 @@ def rca_episodes(transcript: Transcript) -> list[RcaEpisode]:
     return episodes
 
 
-def episode_scaling(episodes: list[RcaEpisode]) -> FitResult:
+def episode_scaling(episodes: Iterable[RcaEpisode]) -> FitResult:
     """Fit episode duration against loop length (Lemma 4.3, per episode).
 
     Episodes with equal loop lengths are averaged first so dense repeats
     of one distance do not dominate the fit.
     """
-    if len(episodes) < 2:
+    return weighted_episode_scaling([(episodes, 1)])
+
+
+def weighted_episode_scaling(
+    groups: Iterable[tuple[Iterable[RcaEpisode], int]],
+) -> FitResult:
+    """:func:`episode_scaling` of every ``(episodes, weight)`` group's
+    episodes, each repeated ``weight`` times.
+
+    Each loop length's duration sum and episode count stay integers, so the
+    fit is bit-identical to :func:`episode_scaling` of the flattened list.
+    """
+    sums: dict[int, int] = {}
+    counts: dict[int, int] = {}
+    for episodes, weight in groups:
+        for ep in episodes:
+            length = ep.loop_length
+            sums[length] = sums.get(length, 0) + weight * ep.duration
+            counts[length] = counts.get(length, 0) + weight
+    if sum(counts.values()) < 2:
         raise TranscriptError("need at least two episodes to fit scaling")
-    by_length: dict[int, list[int]] = {}
-    for ep in episodes:
-        by_length.setdefault(ep.loop_length, []).append(ep.duration)
-    xs = sorted(by_length)
-    ys = [sum(by_length[x]) / len(by_length[x]) for x in xs]
+    xs = sorted(sums)
+    ys = [sums[x] / counts[x] for x in xs]
     if len(xs) < 2:
         # All loops the same length (e.g. a complete graph): degenerate but
         # legitimate; report a flat fit anchored at the observed point.
@@ -120,6 +139,19 @@ def episode_scaling(episodes: list[RcaEpisode]) -> FitResult:
 # ----------------------------------------------------------------------
 # campaign-level aggregates
 # ----------------------------------------------------------------------
+def episode_groups(results: Iterable) -> list[tuple[Sequence[RcaEpisode], int]]:
+    """Each distinct ``episodes`` tuple of ``results`` with its multiplicity.
+
+    Tuples are told apart by identity: cells that share a result body share
+    its tuple, so a seed sweep's thousands of cells reduce to a handful of
+    groups without hashing a single episode.  Equal tuples that are not the
+    same object form separate groups, which weighs them the same.
+    """
+    tuples = list(map(attrgetter("episodes"), results))
+    distinct = {id(episodes): episodes for episodes in tuples}
+    return [(distinct[key], n) for key, n in Counter(map(id, tuples)).items()]
+
+
 def phase_outcome_counts(results: Iterable) -> tuple[tuple[str, str, int], ...]:
     """Outcome counts keyed by timeline phase: ``(phase, outcome, count)``.
 
@@ -211,20 +243,20 @@ def aggregate_stats(results: Iterable) -> CampaignStats:
     :meth:`repro.store.ResultStore.stats` without a circular import.
     """
     results = list(results)
-    episodes: list[RcaEpisode] = [ep for r in results for ep in r.episodes]
+    groups = episode_groups(results)
     try:
-        fit = episode_scaling(episodes)
+        fit = weighted_episode_scaling(groups)
     except TranscriptError:
         fit = None
     return CampaignStats(
         scenarios=len(results),
-        outcomes=tuple(sorted(Counter(r.outcome for r in results).items())),
-        total_ticks=sum(r.ticks for r in results),
-        total_drained_ticks=sum(r.drained_ticks for r in results),
-        total_hops=sum(r.hops for r in results),
-        total_work=sum(r.work for r in results),
-        lost_characters=sum(r.lost_characters for r in results),
-        episode_count=len(episodes),
+        outcomes=tuple(sorted(Counter(map(attrgetter("outcome"), results)).items())),
+        total_ticks=sum(map(attrgetter("ticks"), results)),
+        total_drained_ticks=sum(map(attrgetter("drained_ticks"), results)),
+        total_hops=sum(map(attrgetter("hops"), results)),
+        total_work=sum(map(attrgetter("work"), results)),
+        lost_characters=sum(map(attrgetter("lost_characters"), results)),
+        episode_count=sum(len(episodes) * n for episodes, n in groups),
         fit=fit,
         phase_outcomes=phase_outcome_counts(results),
         # getattr: store records written before the error fields existed

@@ -51,9 +51,14 @@ per-worker caches above stay warm between invocations.  Dispatch is
 **chunked**: pending scenarios are grouped by their setup key
 ``(family, size, seed, backend)``, consecutive groups are packed into
 chunks of at most 64 cells, and a chunk travels in one pickle round-trip
-and commits to the store in one write — which amortizes IPC and ``fsync``
-and guarantees every cell sharing a baseline lands on the worker that
-already computed it.  None of this is observable in the results —
+— which amortizes IPC and guarantees every cell sharing a baseline lands
+on the worker that already computed it.  Consecutive chunks of healthy
+cells on one wiring travel as one unit, so a seed sweep simulates each
+wiring on one worker.  Every path commits to the store in batches of at
+most 64 cells, one write and one ``fsync`` each.
+A worker returns each distinct result body once plus ``(index,
+body_no)`` references, and the parent attaches its own scenarios (see
+:func:`_run_chunk_cells`).  None of this is observable in the results —
 ``jobs=1`` and ``jobs=N`` stay value-identical and stores resume
 byte-identically; :func:`run_scenario` with ``fresh=True`` bypasses the
 per-worker memos, the prefix ladders and the engine pool, and
@@ -80,16 +85,18 @@ import time
 import traceback
 import zlib
 from collections import Counter, OrderedDict, deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from repro.analysis.run_stats import (
     CampaignStats,
     RcaEpisode,
     aggregate_stats,
-    episode_scaling,
+    episode_groups,
     rca_episodes,
+    weighted_episode_scaling,
 )
 from repro.campaigns.faultinject import CorruptResultInjected, maybe_inject
 from repro.campaigns.spec import (
@@ -192,6 +199,28 @@ class ScenarioResult:
     def work(self) -> int:
         """The Lemma 4.4 work measure ``E * D`` for this network."""
         return self.num_wires * max(1, self.diameter)
+
+    def with_scenario(self, scenario: Scenario | None) -> "ScenarioResult":
+        """This result's body under ``scenario``: ``replace(self, scenario=…)``.
+
+        Skips ``dataclasses.replace``'s per-call field walk.  The copy shares
+        every field value, so the cells attached to one body share its
+        tuples.  A result whose scenario is ``None`` is a *body*.
+        """
+        result = object.__new__(ScenarioResult)
+        result.__dict__.update(self.__dict__, scenario=scenario)
+        return result
+
+
+#: The :class:`ScenarioResult` fields of a body: every field but the
+#: scenario, in declaration order, so ``ScenarioResult(scenario, *values)``
+#: rebuilds a result from its :data:`body_of` value.
+BODY_FIELDS = tuple(f.name for f in fields(ScenarioResult) if f.name != "scenario")
+
+#: A result's body value: the tuple of its :data:`BODY_FIELDS`.  Results
+#: attached to one body compare equal by identity, field by field, so
+#: ``==`` on two such values costs no episode comparison.
+body_of = attrgetter(*BODY_FIELDS)
 
 
 def run_scenario(scenario: Scenario, *, fresh: bool = False) -> ScenarioResult:
@@ -354,8 +383,8 @@ def _static_result(
     """One static protocol run on ``graph``, reduced to its result fields.
 
     Everything here is a pure function of the wiring and the backend, so
-    the returned value carries no scenario (``scenario=None``); callers
-    attach theirs with :func:`dataclasses.replace`.  Raises
+    the returned value is a body (``scenario=None``); callers attach their
+    scenario with :meth:`ScenarioResult.with_scenario`.  Raises
     :class:`~repro.errors.TickBudgetExceeded` when the run deadlocks.
     The engine is built, not checked out of the pool: :func:`_static_memo`
     runs each ``(graph, backend)`` once per worker, so a pooled static
@@ -407,7 +436,7 @@ def _run_static_scenario(
         reduced = _static_reduction(graph, scenario.backend, fresh=fresh)
     except TickBudgetExceeded:
         return _empty_result(scenario, graph, "deadlock")
-    return replace(reduced, scenario=scenario)
+    return reduced.with_scenario(scenario)
 
 
 def _run_dynamic_scenario(
@@ -726,10 +755,14 @@ def clear_scenario_caches() -> None:
     clear_kernel_cache()
 
 
-#: The most cells one chunk carries.  A chunk is also the store's commit
-#: unit (one write, one ``fsync``), so this bounds what a hard kill of the
-#: parent can lose.
+#: The most cells one chunk carries and one store commit holds (one write,
+#: one ``fsync``), so this bounds what a hard kill of the parent can lose.
 _MAX_CHUNK = 64
+
+
+def _setup_wiring(scenario: Scenario) -> tuple[tuple[str, int, int], str]:
+    """The ``(wiring key, backend)`` whose static memo ``scenario`` reads."""
+    return _wiring_key(scenario.family, scenario.size, scenario.seed), scenario.backend
 
 
 def _chunk_pending(
@@ -741,33 +774,45 @@ def _chunk_pending(
     one pickle round-trip per chunk, and the worker that receives a chunk
     computes the shared setup (built graph, static baseline, pooled
     engine) once instead of racing its siblings to compute it redundantly.
-    Consecutive small key groups are packed into one chunk, so a matrix of
-    many one-cell keys (a seed sweep) still travels — and commits to the
-    store — in batches.
+    Consecutive key groups of one wiring (:func:`_wiring_key`: every seed
+    of a family whose builder ignores it) form one *run*, and consecutive
+    small runs are packed into one chunk, so a matrix of many one-cell
+    keys (a seed sweep) still travels — and commits to the store — in
+    batches.
 
     Chunks are **capped** at ``min(ceil(pending / (2·workers)), 64)``
     cells: roughly two chunks per worker, so a fault-heavy matrix with few
     keys cannot collapse onto a couple of workers and idle the rest, and
-    at most :data:`_MAX_CHUNK` cells, the store's commit unit.  A key is
-    split only when it alone exceeds the cap; splitting re-pays its
-    baseline at most once per extra chunk.  Chunking is invisible in the
-    results: each cell travels with its matrix index.
+    at most :data:`_MAX_CHUNK` cells, the store's commit unit.  A run is
+    split only when it alone exceeds the cap, and then into chunks of that
+    wiring alone, which the supervisor may dispatch together
+    (:func:`_dispatch_units`).  Chunking is invisible in the results: each
+    cell travels with its matrix index.
     """
     groups: dict[tuple, list[tuple[int, Scenario]]] = {}
     for index, scenario in pending:
         key = (scenario.family, scenario.size, scenario.seed, scenario.backend)
         groups.setdefault(key, []).append((index, scenario))
+    runs: list[list[tuple[int, Scenario]]] = []
+    last = None
+    for group in groups.values():
+        wiring = _setup_wiring(group[0][1])
+        if wiring == last:
+            runs[-1] += group
+        else:
+            runs.append(group)
+            last = wiring
     cap = min(max(1, -(-len(pending) // (workers * 2))), _MAX_CHUNK)
     chunks: list[list[tuple[int, Scenario]]] = []
     current: list[tuple[int, Scenario]] = []
-    for group in groups.values():
-        if len(current) + len(group) > cap and current:
+    for run in runs:
+        if len(current) + len(run) > cap and current:
             chunks.append(current)
             current = []
-        while len(group) > cap:
-            chunks.append(group[:cap])
-            group = group[cap:]
-        current += group
+        while len(run) > cap:
+            chunks.append(run[:cap])
+            run = run[cap:]
+        current += run
     if current:
         chunks.append(current)
     return chunks
@@ -853,7 +898,7 @@ def run_campaign(
     the run becomes persistent and incremental: scenarios already recorded
     in the store are loaded instead of executed, and every fresh result is
     written through **as its chunk completes** — one
-    :meth:`~repro.store.ResultStore.put_many` commit per chunk of at most
+    :meth:`~repro.store.ResultStore.put_many` commit per batch of at most
     64 cells, which may span several setup keys.  An exception in the
     serial path (a strict-mode error, Ctrl-C) commits the chunk's finished
     cells before it propagates; a hard kill loses at most the chunk in
@@ -919,13 +964,14 @@ def run_campaign(
     delivered: set[int] = set()
 
     def deliver(cells: Iterable[tuple[int, ScenarioResult]]) -> None:
-        # The single result sink for every execution path: one chunk's
-        # fresh results, committed to the store with one write and one
-        # fsync.  Idempotent per cell: a chunk requeued by the supervisor
-        # that turns out to have finished anyway cannot double-append.
-        # ``cells`` may be lazy (the serial path runs each cell as it is
-        # drawn), so a strict-mode error or Ctrl-C mid-chunk still commits
-        # the cells before it, exactly as a per-cell write would have.
+        # The single result sink for every execution path: fresh results,
+        # committed to the store in batches of at most _MAX_CHUNK cells,
+        # each with one write and one fsync.  Idempotent per cell: a chunk
+        # requeued by the supervisor that turns out to have finished anyway
+        # cannot double-append.  ``cells`` may be lazy (the serial path runs
+        # each cell as it is drawn), so a strict-mode error or Ctrl-C
+        # mid-chunk still commits the cells before it, exactly as a
+        # per-cell write would have.
         fresh: list[ScenarioResult] = []
         try:
             for index, result in cells:
@@ -938,6 +984,10 @@ def run_campaign(
                 delivered.add(index)
                 slots[index] = result
                 fresh.append(result)
+                if len(fresh) == _MAX_CHUNK:
+                    batch, fresh = fresh, []
+                    if store is not None:
+                        store.put_many(batch)
         finally:
             if store is not None and fresh:
                 store.put_many(fresh)
@@ -969,7 +1019,11 @@ def run_campaign(
             # the next run_campaign build a fresh pool.
             shutdown_worker_pool()
             raise
-    return CampaignResult(results=slots, prewarm_skipped=tuple(prewarm_skipped))
+    return CampaignResult(
+        results=slots,
+        prewarm_skipped=tuple(prewarm_skipped),
+        reused=len(scenarios) - len(pending),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -992,31 +1046,69 @@ class _ChunkTask:
     detail: str = ""
 
 
+def _dispatch_units(
+    chunks: list[list[tuple[int, Scenario]]],
+) -> list[list[tuple[int, Scenario]]]:
+    """Merge consecutive chunks of healthy cells on one wiring into one unit.
+
+    Every ``none`` cell of a wiring reads that wiring's static memo, so
+    the first such cell a worker meets runs the static simulation and the
+    rest cost a lookup.  Chunks of them spread over the pool would make
+    every worker repeat the simulation, which is most of a seed sweep's
+    work; a unit keeps each wiring's healthy cells on one worker.  The
+    parent's ``deliver`` still commits a unit in batches of at most
+    :data:`_MAX_CHUNK` cells, on every path.  Other chunks dispatch as they
+    are: their cells simulate one by one, so splitting them is what spreads
+    the work.
+    """
+    units: list[list[tuple[int, Scenario]]] = []
+    last = None
+    for chunk in chunks:
+        wirings = {_setup_wiring(scenario) for _, scenario in chunk}
+        healthy = all(scenario.fault == "none" for _, scenario in chunk)
+        wiring = wirings.pop() if healthy and len(wirings) == 1 else None
+        if wiring is not None and wiring == last:
+            units[-1].extend(chunk)
+        else:
+            units.append(list(chunk))
+        last = wiring
+    return units
+
+
 def _chunk_payload_valid(
     cells: list[tuple[int, Scenario]], payload
 ) -> bool:
     """Whether a chunk's returned payload is structurally trustworthy.
 
     A worker that lies (bit flips, a fault-injected corrupt result, a
-    partially unpickled object) must not poison the store: the payload has
-    to be a list of ``(index, ScenarioResult)`` pairs covering *exactly*
-    the dispatched cells, each result claiming the scenario that was asked
-    for.  Values are not re-derived — that would mean re-running the cell
-    — but identity and shape are fully checked.
+    partially unpickled object) must not poison the store.  A payload is
+    ``(bodies, refs)`` (see :func:`_run_chunk_cells`): every body must be
+    a :class:`ScenarioResult` with no scenario, and ``refs`` must hold one
+    ``(index, body_no)`` pair per dispatched cell, covering *exactly* the
+    dispatched indexes, each naming a body in range.  The parent attaches
+    its own scenario by index, so no returned scenario needs comparing.
+    Values are not re-derived — that would mean re-running the cell — but
+    coverage and references are fully checked.
     """
-    if not isinstance(payload, list) or len(payload) != len(cells):
+    if not isinstance(payload, tuple) or len(payload) != 2:
         return False
-    expected = dict(cells)
+    bodies, refs = payload
+    if not isinstance(bodies, list) or not isinstance(refs, list):
+        return False
+    if len(refs) != len(cells):
+        return False
+    for body in bodies:
+        if not isinstance(body, ScenarioResult) or body.scenario is not None:
+            return False
+    expected = {index for index, _ in cells}
     seen: set[int] = set()
-    for item in payload:
+    for item in refs:
         if not isinstance(item, tuple) or len(item) != 2:
             return False
-        index, result = item
-        if index in seen or index not in expected:
+        index, number = item
+        if type(index) is not int or index in seen or index not in expected:
             return False
-        if not isinstance(result, ScenarioResult):
-            return False
-        if result.scenario != expected[index]:
+        if type(number) is not int or not 0 <= number < len(bodies):
             return False
         seen.add(index)
     return True
@@ -1084,7 +1176,7 @@ def _run_supervised(
       an environment where pools cannot live still yields a complete
       campaign.
     """
-    todo: deque[_ChunkTask] = deque(_ChunkTask(cells=list(c)) for c in chunks)
+    todo = deque(_ChunkTask(cells=cells) for cells in _dispatch_units(chunks))
     suspects: deque[_ChunkTask] = deque()
     in_flight: dict[int, tuple[_ChunkTask, float | None]] = {}
     events: queue_mod.Queue = queue_mod.Queue()
@@ -1149,7 +1241,12 @@ def _run_supervised(
         elif not _chunk_payload_valid(task.cells, payload):
             fail(task, "corrupt-result")
         else:
-            deliver(payload)
+            bodies, refs = payload
+            scenarios = dict(task.cells)
+            deliver(
+                (index, bodies[number].with_scenario(scenarios[index]))
+                for index, number in refs
+            )
             rebuilds = 0
 
     def rebuild() -> bool:
@@ -1225,7 +1322,7 @@ def _run_supervised(
 
 def _run_chunk(
     chunk: list[tuple[int, Scenario]],
-) -> list[tuple[int, "ScenarioResult"]]:
+) -> tuple[list[ScenarioResult], list[tuple[int, int]]]:
     """Worker shim: one pickle round-trip per setup-key group of cells.
 
     In a profiling-armed worker (``campaign --profile``), the chunk runs under
@@ -1251,13 +1348,31 @@ def _run_chunk(
                 os.path.join(_PROFILE_DIR, f"worker-{os.getpid()}.pstats")
             )
     except CorruptResultInjected:
-        return [("corrupted-payload", None)]  # type: ignore[list-item]
+        # a well-formed payload whose every reference points past its bodies
+        return [], [(index, 0) for index, _ in chunk]
 
 
 def _run_chunk_cells(
     chunk: list[tuple[int, Scenario]],
-) -> list[tuple[int, "ScenarioResult"]]:
-    return [(index, _guarded_cell(scenario)) for index, scenario in chunk]
+) -> tuple[list[ScenarioResult], list[tuple[int, int]]]:
+    """Run a chunk's cells; return ``(bodies, [(index, body_no), …])``.
+
+    Consecutive cells with equal bodies share one: cells of one wiring run
+    together and return copies of one memoized body, whose fields compare
+    by identity.  So each body travels about once however many cells share
+    it, and no scenario travels back: the parent attaches its own by index.
+    """
+    bodies: list[ScenarioResult] = []
+    refs = []
+    last = None
+    for index, scenario in chunk:
+        result = _guarded_cell(scenario)
+        body = body_of(result)
+        if body != last:
+            last = body
+            bodies.append(result.with_scenario(None))
+        refs.append((index, len(bodies) - 1))
+    return bodies, refs
 
 
 def _coerce_store(store):
@@ -1285,6 +1400,8 @@ class CampaignResult:
     #: ``(family, size, seed, reason)`` — ``()`` when every wiring
     #: published (or no artifact library was in play).
     prewarm_skipped: tuple[tuple[str, int, int, str], ...] = field(default=())
+    #: cells served from the store instead of run (``0`` without a store)
+    reused: int = 0
 
     def __len__(self) -> int:
         return len(self.results)
@@ -1299,8 +1416,12 @@ class CampaignResult:
         return [ep for r in self.results for ep in r.episodes]
 
     def episode_fit(self) -> FitResult:
-        """Lemma 4.3 across the matrix: episode duration vs loop length."""
-        return episode_scaling(self.episodes())
+        """Lemma 4.3 across the matrix: episode duration vs loop length.
+
+        Equals ``episode_scaling(self.episodes())``, reducing each distinct
+        episode tuple once, weighted by the number of cells sharing it.
+        """
+        return weighted_episode_scaling(episode_groups(self.results))
 
     def series(
         self,
@@ -1346,7 +1467,11 @@ class CampaignResult:
         ]
 
     def summary(self) -> str:
-        """A paper-style table of the whole campaign."""
+        """A paper-style table of the whole campaign.
+
+        ``format_table`` renders each distinct row tail (every column but
+        the label) once, so the cost is per result body plus a label.
+        """
         title = f"campaign: {len(self.results)} scenarios, outcomes {self.outcome_counts()}"
         if self.prewarm_skipped:
             title += f", prewarm skipped {len(self.prewarm_skipped)} wiring(s)"

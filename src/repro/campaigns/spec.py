@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from repro.dynamics.timeline import PerturbationTimeline, parse_timeline
@@ -258,6 +259,32 @@ def parse_fault(spec: str) -> FaultModel:
     return FaultModel(kind, param)
 
 
+@lru_cache(maxsize=1024)
+def _canonical_fault(spelling: str) -> str:
+    """The canonical string of a fault spelling, parsed once per spelling."""
+    if not isinstance(spelling, str):
+        raise ReproError(f"a fault model is a string, got {spelling!r}")
+    return str(parse_fault(spelling))
+
+
+#: :meth:`Scenario.fault_model`, parsed once per canonical fault string (a
+#: :class:`FaultModel` is frozen, so cells of one fault share it)
+_fault_model = lru_cache(maxsize=1024)(parse_fault)
+
+
+@lru_cache(maxsize=1024)
+def _text_head(family: str, fault: str, backend: str) -> str:
+    """A scenario's canonical JSON text up to its seed.
+
+    ``seed`` and ``size`` sort after every other key, so the text of any
+    scenario is this head, its seed, ``,"size":``, its size and ``}``.
+    """
+    doc = {"family": family, "fault": fault}
+    if backend != DEFAULT_BACKEND:
+        doc["backend"] = backend
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))[:-1] + ',"seed":'
+
+
 # ----------------------------------------------------------------------
 # supervision policy
 # ----------------------------------------------------------------------
@@ -363,8 +390,12 @@ class Scenario:
     seed: int = 0
     backend: str = DEFAULT_BACKEND
 
+    # A memo, not a field (no annotation): an instance sets its own on
+    # first use, so ``==``, ``hash()``, ``repr()`` and pickles never see it.
+    _spec_hash = None
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fault", str(parse_fault(self.fault)))
+        object.__setattr__(self, "fault", _canonical_fault(self.fault))
         check_backend(self.backend)
 
     @property
@@ -393,37 +424,46 @@ class Scenario:
             doc["backend"] = self.backend
         return doc
 
+    def canonical_text(self) -> str:
+        """:meth:`canonical` as canonical JSON (sorted keys, minimal separators).
+
+        It is the spec hash's input and the ``scenario`` of the result
+        store's record line.  The integers are spliced into a head shared
+        by every scenario of one family, fault and backend.  The text is
+        not kept: a second memo per instance would cost more memory than
+        re-splicing two integers costs time.
+        """
+        head = _text_head(self.family, self.fault, self.backend)
+        return f'{head}{int(self.seed)},"size":{int(self.size)}}}'
+
     def spec_hash(self) -> str:
         """The content address of this scenario: a hex SHA-256 digest.
 
-        Computed over :data:`SPEC_HASH_FORMAT` plus the canonical JSON form
-        (sorted keys, minimal separators), so it is stable across processes,
-        interpreter invocations and ``PYTHONHASHSEED`` — unlike ``hash()``.
-        The result store indexes by this key.  It is computed once per
-        instance and kept in a private attribute, not a field, so ``==``,
-        ``hash()`` and ``repr()`` do not see it.
+        Computed over :data:`SPEC_HASH_FORMAT` plus :meth:`canonical_text`,
+        so it is stable across processes, interpreter invocations and
+        ``PYTHONHASHSEED`` — unlike ``hash()``.  The result store indexes
+        by this key.  It is computed once per instance and kept in a
+        private attribute, not a field, so ``==``, ``hash()`` and
+        ``repr()`` do not see it.
         """
-        try:
-            return self._spec_hash
-        except AttributeError:
-            pass
-        payload = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(f"{SPEC_HASH_FORMAT}\n{payload}".encode()).hexdigest()
-        object.__setattr__(self, "_spec_hash", digest)
-        return digest
+        if self._spec_hash is None:
+            payload = f"{SPEC_HASH_FORMAT}\n{self.canonical_text()}"
+            digest = hashlib.sha256(payload.encode()).hexdigest()
+            object.__setattr__(self, "_spec_hash", digest)
+        return self._spec_hash
 
-    def __getstate__(self) -> dict:
-        # The hash memo stays behind, so a scenario unpickled from a worker
-        # derives its store key from its own fields: the supervisor checks
-        # a returned scenario by ``==``, which the memo does not take part in.
-        return {k: v for k, v in self.__dict__.items() if k != "_spec_hash"}
+    def __reduce__(self):
+        # A pickle carries the fields alone and rebuilds through the
+        # constructor: the hash memo stays behind, and the receiver
+        # re-derives it from the fields.
+        return type(self), (self.family, self.size, self.fault, self.seed, self.backend)
 
     def build_graph(self) -> PortGraph:
         """The healthy (pre-fault) network for this scenario."""
         return build_family(self.family, self.size, self.seed)
 
     def fault_model(self) -> FaultModel:
-        return parse_fault(self.fault)
+        return _fault_model(self.fault)
 
 
 @dataclass(frozen=True)

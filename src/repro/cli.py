@@ -610,7 +610,6 @@ def _run_campaign_command(
         backends=(args.backend,),
     )
     store = _open_campaign_store(args)
-    reused = len(spec) - len(store.missing(spec)) if store is not None else 0
     policy_kwargs: dict = {"on_error": args.on_error}
     if args.cell_timeout is not None:
         # 0 disables deadlines entirely (the policy models that as None)
@@ -651,8 +650,8 @@ def _run_campaign_command(
         )
     if store is not None:
         print(
-            f"\nstore {store.root}: reused {reused} stored scenario(s), "
-            f"ran {len(spec) - reused} fresh, {len(store)} record(s) total"
+            f"\nstore {store.root}: reused {campaign.reused} stored scenario(s), "
+            f"ran {len(spec) - campaign.reused} fresh, {len(store)} record(s) total"
         )
     if args.json:
         with open(args.json, "w") as fh:

@@ -44,13 +44,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.analysis.run_stats import CampaignStats, RcaEpisode, aggregate_stats
-from repro.campaigns.executor import ScenarioResult
+from repro.campaigns.executor import BODY_FIELDS, ScenarioResult, body_of
 from repro.campaigns.spec import CampaignSpec, Scenario
 from repro.errors import ReproError, StoreError
 from repro.store.artifacts import write_atomically
@@ -83,15 +83,6 @@ _LOG_NAME = "log.jsonl"
 #: records live under spec hashes of their own, so skipping them never
 #: hides a cell a current campaign could ask for.
 RETIRED_BACKENDS = frozenset({"batch"})
-
-#: The :class:`ScenarioResult` fields a payload body holds: every field but
-#: the scenario, in declaration order, so ``ScenarioResult(scenario,
-#: *body)`` rebuilds a result from its body value.
-_BODY_FIELDS = tuple(f.name for f in fields(ScenarioResult) if f.name != "scenario")
-
-#: A result's body value: the tuple of its :data:`_BODY_FIELDS`.
-_body_of = attrgetter(*_BODY_FIELDS)
-
 
 # ----------------------------------------------------------------------
 # record (de)serialization
@@ -132,7 +123,7 @@ def _body_to_doc(result: ScenarioResult) -> dict:
 
 
 def _body_from_doc(doc: dict) -> tuple:
-    """The body value of a stored body mapping, in :data:`_BODY_FIELDS` order.
+    """The body value of a stored body mapping, in :data:`BODY_FIELDS` order.
 
     JSON turns tuples into lists, so the nested shapes are re-tupled here.
     """
@@ -157,7 +148,7 @@ def _body_from_doc(doc: dict) -> tuple:
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"malformed result record: {exc}") from exc
-    return tuple(values[name] for name in _BODY_FIELDS)
+    return tuple(values[name] for name in BODY_FIELDS)
 
 
 def result_to_doc(result: ScenarioResult) -> dict:
@@ -172,20 +163,52 @@ def result_from_doc(doc: dict) -> ScenarioResult:
     round-tripped result compares ``==`` to the original dataclass.
     """
     try:
-        scenario = _scenario_from_doc(doc["scenario"])
+        scenario = _scenario_of(_stored_scenario(doc["scenario"]))
     except (KeyError, TypeError, ValueError, ReproError) as exc:
         raise StoreError(f"malformed result record: {exc}") from exc
     return ScenarioResult(scenario, *_body_from_doc(doc))
 
 
-def _scenario_from_doc(doc: dict) -> Scenario:
-    """A stored scenario mapping as a :class:`Scenario` fit to hash.
+#: A record's scenario as the index holds it: the :class:`Scenario`
+#: itself, or the ``(fields, seed)`` of :func:`_stored_scenario`, which
+#: :func:`_scenario_of` builds a :class:`Scenario` from on demand.
+_ScenarioSource = Scenario | tuple[tuple, object]
 
-    Construction checks the fault and backend; ``canonical`` the integers.
+
+@lru_cache(maxsize=4096)
+def _checked_fields(fields: tuple) -> tuple:
+    """``fields`` (a stored scenario's items but its seed), once validated.
+
+    Validation is what ``Scenario(**doc).canonical()`` does with the seed
+    left at its default: construction checks the fault and backend,
+    ``canonical`` the size.  Returns the first-seen tuple of each distinct
+    value, so the records of one family, size, fault and backend share it.
     """
-    scenario = Scenario(**doc)
-    scenario.canonical()
-    return scenario
+    Scenario(**dict(fields)).canonical()
+    return fields
+
+
+def _stored_scenario(doc: dict) -> tuple[tuple, object]:
+    """A stored scenario mapping as ``(fields, seed)``, validated.
+
+    It raises exactly where ``Scenario(**doc).canonical()`` would, at the
+    cost of an integer check on the seed plus one validation per distinct
+    :func:`_checked_fields` value.
+    """
+    if not isinstance(doc, dict):
+        raise TypeError(f"scenario {doc!r} is not a mapping")
+    rest = dict(doc)
+    seed = rest.pop("seed", 0)
+    int(seed)
+    return _checked_fields(tuple(rest.items())), seed
+
+
+def _scenario_of(source: _ScenarioSource) -> Scenario:
+    """The :class:`Scenario` of a :data:`_ScenarioSource`."""
+    if isinstance(source, Scenario):
+        return source
+    fields, seed = source
+    return Scenario(**dict(fields), seed=seed)
 
 
 def _read_manifest(path: Path) -> dict:
@@ -208,9 +231,20 @@ class _Payload(NamedTuple):
     """What :func:`_scan_shard` yields for a payload line."""
 
     digest: str
-    body: tuple
+    #: the body (``scenario=None``) every record naming this payload shares
+    body: ScenarioResult
     #: the body mapping as parsed, for :func:`verify_result_store`'s digest check
     doc: dict
+
+
+class _Record(NamedTuple):
+    """What :func:`_scan_shard` yields for a record line of either shape."""
+
+    key: str
+    #: the record's body, or ``None`` for a record of a retired backend
+    body: ScenarioResult | None
+    #: ``None`` for a record of a retired backend
+    scenario: _ScenarioSource | None
 
 
 #: What :func:`_scan_shard` yields for a file's torn final line.
@@ -221,17 +255,18 @@ def _scan_shard(shard: Path) -> Iterator[tuple[int, int, object]]:
     """Decode one shard file line by line: ``(lineno, offset, item)``.
 
     ``lineno`` is 1-based and ``offset`` is the line's first byte.  ``item``
-    is a :class:`_Payload` for a payload line; ``(key, result)`` for a
-    record of either shape; ``(key, None)`` for a record of a retired
-    backend; the decoding error for a corrupt line, including a record
-    that names a payload no earlier line of this file holds or whose
-    scenario fails validation (:func:`_scenario_from_doc`); or
-    :data:`_TORN` for the bytes after the file's last newline.  Those are
-    torn whatever they parse as: every commit ends in a newline, so an
-    unterminated line is a commit cut short, and the next commit would
-    weld its first record onto it.
+    is a :class:`_Payload` for a payload line; a :class:`_Record` for a
+    record of either shape, whose body is ``None`` for a retired backend;
+    the decoding error for a corrupt line, including a record that names a
+    payload no earlier line of this file holds or whose scenario fails
+    validation (:func:`_stored_scenario`); or :data:`_TORN` for the bytes
+    after the file's last newline.  Those are torn whatever they parse as:
+    every commit ends in a newline, so an unterminated line is a commit
+    cut short, and the next commit would weld its first record onto it.
+    No record builds a result or a :class:`Scenario`: a format-v2 record
+    shares its payload's body and keeps its scenario as ``(fields, seed)``.
     """
-    bodies: dict[str, tuple] = {}
+    bodies: dict[str, ScenarioResult] = {}
     lines = shard.read_bytes().split(b"\n")
     offset = 0
     for lineno, raw in enumerate(lines, 1):
@@ -246,27 +281,32 @@ def _scan_shard(shard: Path) -> Iterator[tuple[int, int, object]]:
             line = json.loads(raw)
             if "body" in line:
                 doc = line["body"]
-                payload = _Payload(line["payload"], _body_from_doc(doc), doc)
-                bodies[payload.digest] = payload.body
+                body = ScenarioResult(None, *_body_from_doc(doc))  # type: ignore[arg-type]
+                payload = _Payload(line["payload"], body, doc)
+                bodies[payload.digest] = body
                 yield lineno, start, payload
                 continue
             key = line["key"]
             if "result" in line:  # a whole result inline: format v1
                 doc = line["result"]
-                result = None if _is_retired(doc["scenario"]) else result_from_doc(doc)
+                if _is_retired(doc["scenario"]):
+                    record = _Record(key, None, None)
+                else:
+                    result = result_from_doc(doc)
+                    record = _Record(key, result.with_scenario(None), result.scenario)
             elif _is_retired(line["scenario"]):
-                result = None
+                record = _Record(key, None, None)
             else:
                 body = bodies.get(line["payload"])
                 if body is None:
                     raise StoreError(
                         f"record names unknown payload {line['payload']!r}"
                     )
-                result = ScenarioResult(_scenario_from_doc(line["scenario"]), *body)
+                record = _Record(key, body, _stored_scenario(line["scenario"]))
         except (KeyError, TypeError, ValueError, ReproError) as exc:
             yield lineno, start, exc
             continue
-        yield lineno, start, (key, result)
+        yield lineno, start, record
 
 
 # ----------------------------------------------------------------------
@@ -284,9 +324,14 @@ class ResultStore:
 
     A commit writes each result body the log does not hold yet as one
     payload line, then one short record line per result naming its
-    payload by digest.  Opening a store scans every file once, decodes
-    each payload once and builds the in-memory index (``spec hash ->
-    latest record``); results that share a body share its tuples.
+    payload by digest; the record's ``scenario`` is the scenario's
+    :meth:`~repro.campaigns.spec.Scenario.canonical_text`.  Opening a
+    store scans every file once, decodes each payload once into a shared
+    body and builds the in-memory index (``spec hash -> (body, scenario)``
+    of the latest record), building no result per record: a record keeps
+    its scenario as plain fields, validated once per distinct family,
+    size, fault and backend.  :meth:`get` attaches the caller's scenario
+    to the shared body, so a resume costs one dict lookup per cell.
     Commits append to the log and update the index, so reads never
     re-touch disk.  Records are plain values, making the store safe to
     copy, merge (concatenate logs), or commit to version control.
@@ -297,7 +342,9 @@ class ResultStore:
         self._shard_dir = self.root / "shards"
         self._log = self._shard_dir / _LOG_NAME
         self._manifest = self.root / "MANIFEST.json"
-        self._index: dict[str, ScenarioResult] = {}
+        #: spec hash -> ``(body, scenario source)`` of the latest record: the
+        #: body is any result holding its fields (``get`` swaps the scenario)
+        self._index: dict[str, tuple[ScenarioResult, _ScenarioSource]] = {}
         #: body value -> digest of a payload line in the log: the writer
         #: names it instead of writing the body again
         self._digests: dict[tuple, str] = {}
@@ -352,11 +399,9 @@ class ResultStore:
                 ) from item
             elif isinstance(item, _Payload):
                 if learn:
-                    self._digests[item.body] = item.digest
-            else:
-                key, result = item
-                if result is not None:  # None: a retired backend's record
-                    self._index[key] = result
+                    self._digests[body_of(item.body)] = item.digest
+            elif item.body is not None:  # None: a retired backend's record
+                self._index[item.key] = (item.body, item.scenario)
 
     # -- writes ----------------------------------------------------------
     def put(self, result: ScenarioResult) -> str:
@@ -383,7 +428,7 @@ class ResultStore:
         lines = []
         last = digest = None
         for key, result in zip(keys, results):
-            body = _body_of(result)
+            body = body_of(result)
             # Cells of one wiring arrive together and share their episode
             # tuples, so ``==`` on the previous body is cheap where hashing
             # the body (every episode) is not.
@@ -395,9 +440,10 @@ class ResultStore:
                 digest = hashlib.sha256(_canonical(doc).encode()).hexdigest()
                 learned[body] = digest
                 lines.append(_canonical({"body": doc, "payload": digest}))
-            scenario = result.scenario.canonical()
+            # the canonical form of {"key", "payload", "scenario"}: keys sorted
+            scenario = result.scenario.canonical_text()
             lines.append(
-                _canonical({"key": key, "payload": digest, "scenario": scenario})
+                f'{{"key":"{key}","payload":"{digest}","scenario":{scenario}}}'
             )
         data = ("\n".join(lines) + "\n").encode()
         if self._format != STORE_FORMAT:
@@ -417,7 +463,7 @@ class ResultStore:
             os.close(fd)
         self._digests.update(learned)
         for key, result in zip(keys, results):
-            self._index[key] = result
+            self._index[key] = (result, result.scenario)
         return keys
 
     # -- reads -----------------------------------------------------------
@@ -426,8 +472,18 @@ class ResultStore:
         return item.spec_hash() if isinstance(item, Scenario) else item
 
     def get(self, item: Scenario | str) -> ScenarioResult | None:
-        """The stored result for a scenario (or raw key), or ``None``."""
-        return self._index.get(self._key_of(item))
+        """The stored result for a scenario (or raw key), or ``None``.
+
+        Given a scenario, the result carries that scenario, attached to the
+        record's shared body; it equals the stored scenario, since their
+        spec hashes agree.  Given a raw key, the result carries the
+        record's own scenario, built from its stored fields.
+        """
+        if isinstance(item, Scenario):
+            entry = self._index.get(item.spec_hash())
+            return None if entry is None else entry[0].with_scenario(item)
+        entry = self._index.get(item)
+        return None if entry is None else _result_of(entry)
 
     def __contains__(self, item: Scenario | str) -> bool:
         return self._key_of(item) in self._index
@@ -440,7 +496,7 @@ class ResultStore:
 
     def results(self) -> list[ScenarioResult]:
         """Every stored result, in first-recorded key order."""
-        return list(self._index.values())
+        return [_result_of(entry) for entry in self._index.values()]
 
     def results_for(
         self, scenarios: CampaignSpec | Sequence[Scenario]
@@ -465,7 +521,7 @@ class ResultStore:
         return [s for s in expanded if s not in self]
 
     def __iter__(self) -> Iterator[ScenarioResult]:
-        return iter(self._index.values())
+        return iter(self.results())
 
     # -- aggregation ------------------------------------------------------
     def stats(
@@ -491,6 +547,12 @@ class ResultStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ResultStore({str(self.root)!r}, {len(self)} records)"
+
+
+def _result_of(entry: tuple[ScenarioResult, _ScenarioSource]) -> ScenarioResult:
+    """An index entry as a result carrying the record's own scenario."""
+    body, source = entry
+    return body.with_scenario(_scenario_of(source))
 
 
 # ----------------------------------------------------------------------
@@ -602,15 +664,16 @@ def verify_result_store(root: str | os.PathLike) -> StoreVerifyReport:
                         f"the digest of its body ({digest[:16]}…)"
                     )
                 continue
-            key, result = item
-            if result is None:
+            key = item.key
+            if item.body is None:
                 report.retired += 1
                 continue
             report.records += 1
-            if key != result.scenario.spec_hash():
+            scenario = _scenario_of(item.scenario)
+            if key != scenario.spec_hash():
                 report.problems.append(
                     f"{where}: key {key[:16]}… does not match the "
-                    f"recomputed spec hash of {result.scenario.label}"
+                    f"recomputed spec hash of {scenario.label}"
                 )
             if key in seen:
                 report.duplicates += 1

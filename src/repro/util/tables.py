@@ -21,6 +21,11 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
+def _numeric(value: Any) -> bool:
+    """Whether a cell right-aligns: an int or float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[Any]],
@@ -32,41 +37,44 @@ def format_table(
     Numeric cells are right-aligned; everything else is left-aligned.  The
     return value ends without a trailing newline so callers can ``print`` it
     directly.
+
+    Each distinct row *tail* (every cell but the first) is formatted and
+    padded once, so a table that repeats a few tails under many labels (a
+    campaign's cells sharing a few result bodies) costs one pass over the
+    labels.  Tails are told apart by the identity of their cells, so values
+    that compare equal but render differently (``1`` and ``True``) never
+    share a rendering.
     """
-    str_rows = [[_cell(v) for v in row] for row in rows]
-    for i, row in enumerate(str_rows):
+    for i, row in enumerate(rows):
         if len(row) != len(headers):
             raise ValueError(
                 f"row {i} has {len(row)} cells, expected {len(headers)}"
             )
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for c, cell in enumerate(row):
-            widths[c] = max(widths[c], len(cell))
-    numeric = [
-        all(
-            isinstance(orig[c], (int, float)) and not isinstance(orig[c], bool)
-            for orig in rows
-        )
-        if rows
-        else False
-        for c in range(len(headers))
+    labels = [_cell(row[0]) for row in rows]
+    tails = [row[1:] for row in rows]
+    keys = [tuple(map(id, tail)) for tail in tails]
+    distinct = dict(zip(keys, tails))
+    cells = {key: [_cell(v) for v in tail] for key, tail in distinct.items()}
+    widths = [max([len(headers[0]), *map(len, labels)])] + [
+        max([len(header), *(len(row[c]) for row in cells.values())])
+        for c, header in enumerate(headers[1:])
+    ]
+    numeric = [bool(rows) and all(_numeric(row[0]) for row in rows)] + [
+        bool(rows) and all(_numeric(tail[c]) for tail in distinct.values())
+        for c in range(len(headers) - 1)
     ]
 
-    def fmt_row(cells: Sequence[str]) -> str:
-        parts = []
-        for c, cell in enumerate(cells):
-            parts.append(cell.rjust(widths[c]) if numeric[c] else cell.ljust(widths[c]))
-        return "| " + " | ".join(parts) + " |"
+    def pad(cell: str, c: int) -> str:
+        return cell.rjust(widths[c]) if numeric[c] else cell.ljust(widths[c])
 
+    rendered = {
+        key: "".join(f" | {pad(cell, c)}" for c, cell in enumerate(row, 1)) + " |"
+        for key, row in cells.items()
+    }
     sep = "+-" + "-+-".join("-" * w for w in widths) + "-+"
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(sep)
-    lines.append(fmt_row(list(headers)))
-    lines.append(sep)
-    for row in str_rows:
-        lines.append(fmt_row(row))
+    header = "| " + " | ".join(pad(h, c) for c, h in enumerate(headers)) + " |"
+    lines = [title] if title else []
+    lines += [sep, header, sep]
+    lines += ["| " + pad(label, 0) + rendered[key] for label, key in zip(labels, keys)]
     lines.append(sep)
     return "\n".join(lines)

@@ -216,6 +216,40 @@ class TestSupervisor:
         assert marker.exists()
         assert result.results == clean_results
 
+    def test_degraded_fallback_commits_in_batches_of_at_most_64(
+        self, inject, tmp_path, monkeypatch
+    ):
+        # 150 healthy seeds of one wiring dispatch as one 150-cell unit; its
+        # crash spends the rebuild budget, so the unit runs in the parent,
+        # which must still commit it at most 64 cells at a time
+        spec = CampaignSpec(
+            families=("directed-ring",), sizes=(4,), seeds=tuple(range(150))
+        )
+        batches = []
+        real = ResultStore.put_many
+
+        def counting(self, results):
+            results = list(results)
+            batches.append(len(results))
+            return real(self, results)
+
+        monkeypatch.setattr(ResultStore, "put_many", counting)
+        marker = tmp_path / "fired"
+        inject(f"kind=crash;match=directed-ring(4)/none/s100;once={marker}")
+        result = run_campaign(
+            spec,
+            jobs=2,
+            start_method=START_METHOD,
+            store=tmp_path / "run",
+            policy=SupervisionPolicy(
+                max_retries=1, max_pool_rebuilds=0,
+                backoff_base=0.01, liveness_interval=0.05,
+            ),
+        )
+        assert marker.exists()
+        assert batches == [64, 64, 22]
+        assert result.results == run_campaign(spec).results
+
     def test_shutdown_is_idempotent(self):
         shutdown_worker_pool()
         shutdown_worker_pool()  # no pool: must be a no-op, not an error

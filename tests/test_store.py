@@ -595,7 +595,8 @@ class TestStoreVerify:
         assert "CORRUPT MANIFEST.json" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "field, value", [("fault", "bogus"), ("backend", "nope"), ("seed", "x")]
+        "field, value",
+        [("fault", "bogus"), ("fault", 5), ("backend", "nope"), ("seed", "x")],
     )
     def test_record_with_an_invalid_scenario_is_corrupt(
         self, capsys, tmp_path, field, value
