@@ -255,7 +255,7 @@ def run_scenario(scenario: Scenario, *, fresh: bool = False) -> ScenarioResult:
                 graph, fault.param, seed=_derive_seed(scenario, "shutdown")
             )
     except ReproError:
-        return _empty_result(scenario, graph, "infeasible")
+        return _empty_result(scenario, "infeasible", graph)
     return _run_static_scenario(scenario, graph, fresh=fresh)
 
 
@@ -268,13 +268,25 @@ def _derive_backend_seed_key(scenario: Scenario) -> str:
     return f"{scenario.family}|{scenario.size}|{scenario.fault}|{scenario.seed}"
 
 
-def _empty_result(scenario: Scenario, graph: PortGraph, outcome: str) -> ScenarioResult:
-    """A result shell for cells that produced no protocol run."""
+def _empty_result(
+    scenario: Scenario,
+    outcome: str,
+    graph: PortGraph | None = None,
+    *,
+    error: str = "",
+    detail: str = "",
+) -> ScenarioResult:
+    """A result shell for a cell that produced no protocol run.
+
+    Every count is zero; the graph's size is kept when the cell built one.
+    An ``error`` kind — a cell that failed or that the supervisor gave up
+    on — also records its digest over ``detail``.
+    """
     return ScenarioResult(
         scenario=scenario,
         outcome=outcome,
-        num_nodes=graph.num_nodes,
-        num_wires=graph.num_wires,
+        num_nodes=graph.num_nodes if graph is not None else 0,
+        num_wires=graph.num_wires if graph is not None else 0,
         diameter=0,
         ticks=0,
         drained_ticks=0,
@@ -283,6 +295,8 @@ def _empty_result(scenario: Scenario, graph: PortGraph, outcome: str) -> Scenari
         bca_runs=0,
         by_family=(),
         episodes=(),
+        error=error,
+        error_digest=_error_digest(error, scenario.label, detail) if error else "",
     )
 
 
@@ -435,7 +449,7 @@ def _run_static_scenario(
     try:
         reduced = _static_reduction(graph, scenario.backend, fresh=fresh)
     except TickBudgetExceeded:
-        return _empty_result(scenario, graph, "deadlock")
+        return _empty_result(scenario, "deadlock", graph)
     return reduced.with_scenario(scenario)
 
 
@@ -529,31 +543,11 @@ def _error_digest(kind: str, label: str, detail: str = "") -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _quarantine_result(
-    scenario: Scenario, kind: str, detail: str = ""
-) -> ScenarioResult:
-    """The structured record of a cell the supervisor gave up on."""
-    return ScenarioResult(
-        scenario=scenario,
-        outcome="error",
-        num_nodes=0,
-        num_wires=0,
-        diameter=0,
-        ticks=0,
-        drained_ticks=0,
-        hops=0,
-        rca_runs=0,
-        bca_runs=0,
-        by_family=(),
-        episodes=(),
-        error=kind,
-        error_digest=_error_digest(kind, scenario.label, detail),
-    )
-
-
 def _error_result(scenario: Scenario, exc: Exception) -> ScenarioResult:
     detail = "".join(traceback.format_exception_only(type(exc), exc)).strip()
-    return _quarantine_result(scenario, type(exc).__name__, detail)
+    return _empty_result(
+        scenario, "error", error=type(exc).__name__, detail=detail
+    )
 
 
 def _guarded_cell(scenario: Scenario) -> ScenarioResult:
@@ -573,7 +567,7 @@ def _guarded_cell(scenario: Scenario) -> ScenarioResult:
     except CorruptResultInjected:
         if _IN_WORKER:
             raise
-        return _quarantine_result(scenario, "corrupt-result")
+        return _empty_result(scenario, "error", error="corrupt-result")
     except Exception as exc:
         return _error_result(scenario, exc)
 
@@ -629,11 +623,11 @@ def _init_worker(artifacts_root: str | None, profile_dir: str | None = None) -> 
         configure_artifact_library(artifacts_root)
     # Warm the character kernel for the common degree bound up front:
     # every engine at a given delta shares one process-cached kernel (its
-    # fill rows, handler plan, transition program and the packed wheel's
-    # encode maps), so paying the one-time build at pool construction
-    # keeps it out of the first cell's wall-clock.  ``fork`` workers
-    # inherit any further deltas the parent prewarmed; spawn workers at
-    # least get the delta-2 code space every standard family uses.
+    # fill rows, handler plan and the packed wheel's encode maps), so
+    # paying the one-time build at pool construction keeps it out of the
+    # first cell's wall-clock.  ``fork`` workers inherit any further
+    # deltas the parent prewarmed; spawn workers at least get the delta-2
+    # code space every standard family uses.
     kernel_for(2)
 
 
@@ -1228,7 +1222,9 @@ def _run_supervised(
             suspects.append(_ChunkTask(cells=task.cells[mid:]))
             return
         ((index, scenario),) = task.cells
-        deliver([(index, _quarantine_result(scenario, kind, detail))])
+        deliver(
+            [(index, _empty_result(scenario, "error", error=kind, detail=detail))]
+        )
         rebuilds = 0
 
     def handle(gen: int, tid: int, payload, exc) -> None:

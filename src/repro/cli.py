@@ -532,6 +532,15 @@ def _run_map_sweep(args: argparse.Namespace) -> int:
     return 0 if exact == len(campaign) else 1
 
 
+def _has_manifest(directory: str) -> bool:
+    """Whether ``directory`` holds a store or library (its ``MANIFEST.json``).
+
+    Opening a :class:`ResultStore` or an ``ArtifactLibrary`` creates the
+    layout, so the commands that only read or resume check for it first.
+    """
+    return (Path(directory) / "MANIFEST.json").is_file()
+
+
 def _open_campaign_store(args: argparse.Namespace) -> ResultStore | None:
     """Resolve --store / --resume into an open store (or None)."""
     if args.resume and args.store and args.resume != args.store:
@@ -540,7 +549,7 @@ def _open_campaign_store(args: argparse.Namespace) -> ResultStore | None:
             "--resume already implies storing into RUN_DIR"
         )
     if args.resume:
-        if not Path(args.resume).is_dir():
+        if not _has_manifest(args.resume):
             raise ReproError(
                 f"--resume: no store at {args.resume!r} (start one with "
                 f"--store, then resume it after an interruption)"
@@ -681,15 +690,15 @@ def _run_store_command(args: argparse.Namespace) -> int:
         return _run_artifacts_store_command(args)
     if args.gc or args.keep_mb is not None:
         raise ReproError("--gc/--keep-mb apply to --artifacts libraries")
-    if not Path(args.dir).is_dir():
-        raise ReproError(f"no result store at {args.dir!r}")
-    if args.verify:
+    if args.verify and Path(args.dir).is_dir():
         # Offline scan: reports without opening (or truncating) anything.
         # Torn trailing lines are warnings — the loader handles them — so
         # only genuinely corrupt records fail the exit code.
         report = verify_result_store(args.dir)
         print(report.summary())
         return 0 if report.ok else 1
+    if not _has_manifest(args.dir):
+        raise ReproError(f"no result store at {args.dir!r}")
     store = ResultStore(args.dir)
     stats = store.stats()
     outcomes = {outcome: n for outcome, n in stats.outcomes}
@@ -719,7 +728,7 @@ def _run_artifacts_store_command(args: argparse.Namespace) -> int:
     """``store DIR --artifacts``: inspect/verify/GC a compiled-artifact library."""
     from repro.store.artifacts import ArtifactLibrary
 
-    if not Path(args.dir).is_dir():
+    if not _has_manifest(args.dir):
         raise ReproError(f"no artifact library at {args.dir!r}")
     if args.keep_mb is not None and not args.gc:
         raise ReproError("--keep-mb requires --gc")

@@ -31,7 +31,6 @@ transcript-counting argument needs.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 __all__ = [
@@ -67,19 +66,6 @@ __all__ = [
     "kernel_size",
     "kernel_for",
     "clear_kernel_cache",
-    "n_phases",
-    "growing_esc_phase",
-    "dying_phase",
-    "TRANS_OP_MASK",
-    "TRANS_OP_BCAST",
-    "TRANS_OP_MARK",
-    "TRANS_OP_TAIL",
-    "TRANS_OP_SEND",
-    "TRANS_PHASE_SHIFT",
-    "TRANS_PHASE_MASK",
-    "TRANS_PORT_SHIFT",
-    "TRANS_PORT_MASK",
-    "TRANS_CODE_SHIFT",
     "TOKEN_KINDS",
     "MSG_DFS_RETURN",
     "SCOPE_RCA",
@@ -438,81 +424,6 @@ def kernel_size(delta: int) -> int:
     return alphabet_size(delta) - 1 + 3 * delta
 
 
-# ----------------------------------------------------------------------
-# the transition program (the automaton as stored, machine-checked data)
-# ----------------------------------------------------------------------
-# The hot protocol automaton — the §2.3.2 growing relay and the §2.3.3
-# dying body stream, exactly the transitions the per-node code handlers of
-# ``ProtocolProcessor.code_handler_table`` serve — is a finite-state
-# machine over a small per-node register file (visited/parent marks per
-# growing family, relay pred/succ/promotion per dying family).  Encoding
-# each family's register state as a small *phase* integer turns every hot
-# transition into one row ``(code, in_port, phase) -> row`` of the
-# ``char_trans`` tensor; everything a row cannot express (interceptions,
-# head promotion, terminal steps, loop/KILL/UNMARK/DFS tokens) is an
-# *escape* row that defers to the handlers.  The tensor is proven row by
-# row against the object path; no Python stepper walks it — the flat
-# backend delivers through the code handlers, and the rows are the data a
-# native stepper would execute (reading :attr:`CharKernel.char_trans` in
-# process through the buffer protocol).
-#
-# Phase encoding, per snake family bank (six banks per node, indexed by
-# the :data:`SNAKE_FAMILIES` family index):
-#
-# * growing banks (IG/OG/BG): ``0`` = unvisited, ``1 + parent_in`` =
-#   visited (``1`` = visited with no parent port, which drops every
-#   delivery exactly like the closure's ``in_port != None`` inequality),
-#   :func:`growing_esc_phase` = intercepted (an active RCA/BCA terminator
-#   on this node; every row escapes);
-# * dying banks (ID/OD/BD): ``0`` = relay inactive (every row escapes),
-#   :func:`dying_phase` = active with a given (pred, succ, promote)
-#   register value; promotion pending escapes, otherwise a body arriving
-#   through ``pred`` streams straight out of ``succ``.
-#
-# Row encoding (int64): ``0`` = drop; negative = escape with the *filled*
-# code ``-row - 1`` (the fill table is fused in, so the escape path pays
-# no second lookup — this also covers DFS fill-in); positive rows decode
-# as ``op | next_phase << 3 | emit_port << 19 | emit_code << 25``.
-
-#: row & TRANS_OP_MASK -> what a positive row does
-TRANS_OP_MASK = 0b111
-#: re-broadcast the filled code at tick+3 (§2.3.2 head flood / body pass)
-TRANS_OP_BCAST = 1
-#: first head at an unvisited node: set the bank to ``next_phase`` (which
-#: encodes the new parent), write through to the object-path marks, and
-#: broadcast the filled head at tick+3
-TRANS_OP_MARK = 2
-#: tail at the parent port: append one body per connected out-port at
-#: tick+3, then pass the filled tail at tick+4
-TRANS_OP_TAIL = 3
-#: dying body stream: send the code out of ``emit_port`` at tick+3
-TRANS_OP_SEND = 4
-TRANS_PHASE_SHIFT = 3
-TRANS_PHASE_MASK = 0xFFFF
-TRANS_PORT_SHIFT = 19
-TRANS_PORT_MASK = 0x3F
-TRANS_CODE_SHIFT = 25
-
-#: growing-family indices into :data:`SNAKE_FAMILIES` (IG, OG, BG)
-_GROWING_BANKS = (0, 1, 4)
-
-
-def n_phases(delta: int) -> int:
-    """Phases per family bank: growing needs ``delta + 3``, dying
-    ``2*delta**2 + 1`` (every (pred, succ, promote) register value)."""
-    return max(delta + 3, 2 * delta * delta + 1)
-
-
-def growing_esc_phase(delta: int) -> int:
-    """The growing-bank phase meaning "intercepted — take the cold path"."""
-    return delta + 2
-
-
-def dying_phase(delta: int, pred: int, succ: int, promote: int) -> int:
-    """The dying-bank phase for an active relay's register values."""
-    return 1 + ((pred - 1) * delta + (succ - 1)) * 2 + promote
-
-
 class CharKernel:
     """The character code space for one ``delta``: codes and their tables.
 
@@ -527,16 +438,13 @@ class CharKernel:
     and strays only ever append, so every engine at this ``delta`` shares
     one kernel.
 
-    Tables covering the first ``n_codes`` codes (``K = n_codes``,
-    ``P = n_phases(delta)``):
+    Tables covering the first ``n_codes`` codes (``K = n_codes``):
 
     ``fill_rows``     ``K`` rows of ``delta+1``  ``[code][in_port] -> code``
                       engine-side fill-in (row entry 0 is the identity)
     ``role_list``     ``K``    0=head / 1=body / 2=tail, -1 for tokens
     ``handler_plan``  ``K``    which code-space handler serves the code
     ``body_codes``    6 rows of ``delta+1``  ``<family>B(port, *)`` codes
-    ``char_trans``    ``K*(delta+1)*P``  ``(code, in_port, phase) -> row``
-                      (the transition program, an ``array('q')``)
 
     Tables covering every code, strays included, extended by
     :meth:`encode`:
@@ -551,8 +459,7 @@ class CharKernel:
     The fill rows mirror the *engine's* fill semantics (growing snakes and
     DFS only — dying characters are delivered verbatim, matching
     ``FlatEngine`` and the object backend's §2.3.2 reading); :meth:`fill`
-    applies the same rule to strays.  ``char_trans`` has no list form: the
-    transition program is machine-checked, but no Python stepper walks it.
+    applies the same rule to strays.
     """
 
     __slots__ = (
@@ -560,7 +467,6 @@ class CharKernel:
         "n_codes",
         "chars",
         "codes",
-        "char_trans",
         "role_list",
         "fill_rows",
         "body_codes",
@@ -641,57 +547,6 @@ class CharKernel:
             else:
                 plan.append(-1)
         self.handler_plan = plan
-
-        # ---- the transition program (see the module-level row encoding) --
-        P = n_phases(delta)
-        esc = growing_esc_phase(delta)
-        trans = [0] * (n * stride * P)
-        for code in range(n):
-            fam = family[code]
-            for j in range(stride):
-                fc = fill_rows[code][j]
-                base = (code * stride + j) * P
-                escape_row = -(fc + 1)
-                trans[base : base + P] = [escape_row] * P
-                if fam < 0 or j == STAR:
-                    # tokens, and the never-delivered in_port 0 column,
-                    # always take the cold path
-                    continue
-                r = role[fc]
-                common = fc << TRANS_CODE_SHIFT
-                if fam in _GROWING_BANKS:
-                    # phase 0 (unvisited): first head claims the node,
-                    # stray bodies/tails are post-KILL debris (D6)
-                    trans[base] = (
-                        TRANS_OP_MARK | ((1 + j) << TRANS_PHASE_SHIFT) | common
-                        if r == 0
-                        else 0
-                    )
-                    # phase 1 (visited, no parent port): nothing matches
-                    trans[base + 1] = 0
-                    for p in range(1, delta + 1):
-                        ph = 1 + p
-                        if j != p:
-                            row = 0  # off-parent arrivals are ignored
-                        elif r == 2:
-                            row = TRANS_OP_TAIL | (ph << TRANS_PHASE_SHIFT) | common
-                        else:
-                            row = TRANS_OP_BCAST | (ph << TRANS_PHASE_SHIFT) | common
-                        trans[base + ph] = row
-                    assert trans[base + esc] == escape_row  # interception
-                elif r == 1:
-                    # dying body through the relay's pred port streams out
-                    # of succ; every other dying configuration (inactive,
-                    # promotion pending, heads/tails, wrong port) escapes
-                    for succ in range(1, delta + 1):
-                        ph = dying_phase(delta, j, succ, 0)
-                        trans[base + ph] = (
-                            TRANS_OP_SEND
-                            | (ph << TRANS_PHASE_SHIFT)
-                            | (succ << TRANS_PORT_SHIFT)
-                            | common
-                        )
-        self.char_trans = array("q", trans)
 
     def encode(self, char: Char) -> int:
         """The integer code of ``char``; a stray is interned on first sight.

@@ -312,7 +312,10 @@ def _dump_retired(graph, version: int) -> bytes:
         widths = (1, 1, 1, 1, 1, graph.delta + 1, 6)
         tables += [[0] * (kernel.n_codes * width) for width in widths]
     if version >= 3:
-        tables.append(kernel.char_trans)
+        # v3 appended the transition-row tensor: one int64 row per
+        # (code, in_port, phase), over max(delta + 3, 2 delta^2 + 1) phases
+        d = graph.delta
+        tables.append([0] * (kernel.n_codes * (d + 1) * max(d + 3, 2 * d * d + 1)))
     payload = b"".join(_le_bytes(t) for t in tables)
     census = characters.alphabet_size(graph.delta)
     # v1 recorded the census without the blank; v2/v3 added the kernel size
@@ -576,6 +579,12 @@ class TestCampaignThreading:
         # store reports a missing manifest and fails the scan
         assert main(["store", str(tmp_path), "--verify"]) == 1
         assert main(["store", str(tmp_path), "--gc"]) == 2  # still artifacts-only
+
+    def test_cli_refuses_a_plain_directory(self, capsys, tmp_path):
+        # inspecting must not create a library in a directory that holds none
+        assert main(["store", str(tmp_path), "--artifacts"]) == 2
+        assert "no artifact library" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------

@@ -889,6 +889,13 @@ class TestCli:
         assert main(self.ARGS + ["--resume", str(tmp_path / "nope")]) == 2
         assert "no store at" in capsys.readouterr().err
 
+    def test_resume_refuses_a_plain_directory(self, capsys, tmp_path):
+        # a directory without MANIFEST.json is not a store to resume: the
+        # command must not create one there and run the matrix fresh
+        assert main(self.ARGS + ["--resume", str(tmp_path)]) == 2
+        assert "no store at" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_resume_and_store_must_agree(self, capsys, tmp_path):
         code = main(
             self.ARGS
@@ -910,6 +917,12 @@ class TestCli:
     def test_store_subcommand_missing_dir(self, capsys, tmp_path):
         assert main(["store", str(tmp_path / "nope")]) == 2
         assert "no result store" in capsys.readouterr().err
+
+    def test_store_subcommand_refuses_a_plain_directory(self, capsys, tmp_path):
+        # inspecting must not create a store in a directory that holds none
+        assert main(["store", str(tmp_path)]) == 2
+        assert "no result store" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bench_compare_pass_and_fail(self, capsys, tmp_path):
         base = tmp_path / "base.json"
