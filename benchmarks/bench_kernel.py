@@ -35,7 +35,6 @@ class _ObjectPathFlatEngine(FlatEngine):
         super().__init__(*args, **kwargs)
         self._chandlers_all = [None] * len(self.processors)
         self._chandlers[:] = self._chandlers_all
-        self._pack_tick_locals()
 
 
 #: bench-local backend name; registered so the production run pipeline

@@ -157,15 +157,30 @@ FAMILY_BUILDERS: dict[str, Callable[[int, int], PortGraph]] = {
 SEEDED_FAMILIES = frozenset({"random", "tree-with-loop"})
 
 
+def _check_size(size: int) -> None:
+    """Reject a network size below one node."""
+    if int(size) < 1:
+        raise ReproError(f"network size must be >= 1, got {size}")
+
+
 def build_family(family: str, size: int, seed: int = 0) -> PortGraph:
-    """Build the ``family`` network of (at least) ``size`` nodes."""
+    """Build the ``family`` network of (at least) ``size`` nodes.
+
+    A size the family cannot be built at (below one node, or below the
+    family's own minimum) raises :class:`~repro.errors.ReproError` naming
+    the family and the size.
+    """
     try:
         builder = FAMILY_BUILDERS[family]
     except KeyError:
         raise ReproError(
             f"unknown network family {family!r}; known: {sorted(FAMILY_BUILDERS)}"
         ) from None
-    return builder(size, seed)
+    _check_size(size)
+    try:
+        return builder(size, seed)
+    except ValueError as exc:
+        raise ReproError(f"cannot build {family}({size}): {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -397,6 +412,7 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "fault", _canonical_fault(self.fault))
         check_backend(self.backend)
+        _check_size(self.size)
 
     @property
     def label(self) -> str:
@@ -491,6 +507,8 @@ class CampaignSpec:
                     f"unknown network family {family!r}; "
                     f"known: {sorted(FAMILY_BUILDERS)}"
                 )
+        for size in self.sizes:
+            _check_size(size)
         for fault in self.faults:
             parse_fault(fault)  # validates eagerly, at declaration time
         for backend in self.backends:

@@ -342,7 +342,7 @@ def _run_map_profiled(args: argparse.Namespace) -> int:
 
     Prints the top-20 functions by cumulative time — the view that keeps
     the hot-loop split visible: code-space dispatch shows up under the
-    engine's ``step_tick`` while object-path fallbacks surface the
+    engine's ``_burst`` while object-path fallbacks surface the
     ``ProtocolProcessor.handle`` tree — and optionally dumps the raw
     pstats data for offline digging.
     """

@@ -231,10 +231,6 @@ class DynamicWiringMixin:
         super().restore(checkpoint, events)
 
     # ------------------------------------------------------------------
-    def step_tick(self) -> None:
-        super().step_tick()
-        self._apply_due_mutations()
-
     def _next_event_tick(self) -> int | None:
         """Bound the engine's fast-forward by the next scheduled op.
 
@@ -250,6 +246,11 @@ class DynamicWiringMixin:
         return nxt
 
     def _apply_due_mutations(self) -> None:
+        """Apply every op due by now (after the tick's deliveries and drains).
+
+        The object backend calls it after each step; the flat stepping
+        body calls it inline whenever its cursor's op comes due.
+        """
         ops = self._ops
         if self._cursor >= len(ops) or ops[self._cursor].tick > self.tick:
             return
@@ -297,6 +298,10 @@ class DynamicWiringMixin:
 
 class DynamicEngine(DynamicWiringMixin, Engine):
     """The object backend with scheduled wire mutations (emission overlay)."""
+
+    def step_tick(self) -> None:
+        super().step_tick()
+        self._apply_due_mutations()
 
     def _put_on_wire(self, node: int, out_port: int, char: Char) -> None:
         key = (node, out_port)

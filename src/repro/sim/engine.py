@@ -370,28 +370,47 @@ class Engine:
             return wheel_tick
         return min(wheel_tick, due_tick)
 
-    _UNCOMPUTED = object()
+    def _burst(
+        self,
+        max_ticks: int,
+        until: Callable[[], bool] | None,
+        idle_from: int | None,
+    ) -> bool:
+        """Step the clock until a stop condition holds or ``max_ticks``.
 
-    def _advance(self, max_ticks: int, nxt: int | None | object = _UNCOMPUTED) -> None:
-        """Step to the next tick at which an event can occur.
+        The stepping loop under :meth:`run`, :meth:`run_to_idle` and (on
+        the flat backend) ``step_tick``.  Before each step it stops, and
+        returns True, when ``until()`` holds — or, with ``until`` None,
+        when the network is idle at a tick ``>= idle_from`` (``None``
+        never stops on idle).  Each step fast-forwards over provably
+        empty ticks to the next event tick, never past ``max_ticks``, and
+        steps that tick.  Returns False once the clock reaches
+        ``max_ticks``.
 
-        Fast-forwards the clock over provably-empty ticks; never advances
-        past ``max_ticks``.  ``nxt`` lets :meth:`run` pass the
-        ``_next_event_tick()`` it already computed for its dead-network
-        check instead of scanning the wheel and drain queue twice per
-        iteration.
+        A dead network (nothing scheduled, nothing resting) advances one
+        tick per step, matching the pre-scheduler engine, so idle
+        detection and budget accounting observe the same ticks as before;
+        under an ``until`` that has just evaluated false it jumps straight
+        to ``max_ticks`` instead: processor state only changes on
+        delivery, so the predicate can never flip.
         """
-        if nxt is Engine._UNCOMPUTED:
+        while self.tick < max_ticks:
+            if until is not None:
+                if until():
+                    return True
+            elif idle_from is not None and self.tick >= idle_from and self.is_idle():
+                return True
             nxt = self._next_event_tick()
-        if nxt is None:
-            # Dead network: nothing to deliver or drain, ever.  Advance one
-            # tick (matching the pre-scheduler engine) so idle detection and
-            # budget accounting observe the same tick values as before.
-            self.tick += 1
-            return
-        if nxt > self.tick + 1:
-            self.tick = min(nxt, max_ticks) - 1
-        self.step_tick()
+            if nxt is None:
+                if until is not None:
+                    self.tick = max_ticks
+                    return False
+                self.tick += 1
+                continue
+            if nxt > self.tick + 1:
+                self.tick = min(nxt, max_ticks) - 1
+            self.step_tick()
+        return False
 
     def run(
         self,
@@ -411,33 +430,15 @@ class Engine:
         """
         if start:
             self.start()
-        while self.tick < max_ticks:
-            if until is not None and until():
-                return self.tick
-            if until is None and self.is_idle() and self.tick > 0:
-                return self.tick
-            nxt = self._next_event_tick()
-            if until is not None and nxt is None:
-                # Dead network under an ``until`` that has just evaluated
-                # false: processor state only changes on delivery, and no
-                # delivery is ever due again, so the predicate can never
-                # flip.  Burn the remaining budget in one jump — the
-                # watchdog below observes the same tick it would have
-                # reached one dead tick at a time.
-                self.tick = max_ticks
-                break
-            self._advance(max_ticks, nxt)
+        if self._burst(max_ticks, until, 1):
+            return self.tick
         if until is not None and until():
             return self.tick
         raise TickBudgetExceeded(max_ticks)
 
     def run_to_idle(self, *, max_ticks: int) -> int:
         """Run until no character remains anywhere (cleanup drain)."""
-        while self.tick < max_ticks:
-            if self.is_idle():
-                return self.tick
-            self._advance(max_ticks)
-        if self.is_idle():
+        if self._burst(max_ticks, None, 0) or self.is_idle():
             return self.tick
         raise TickBudgetExceeded(max_ticks)
 

@@ -41,11 +41,18 @@ on dense integer tables instead of Python object graphs:
   the :class:`~repro.sim.characters.Char` once.  Taking entries back out
   — a KILL purging characters that would still rest in their sender, or
   a cut pulling them back to the sender's outbox — is one wheel-level
-  lane filter, :meth:`PackedEventWheel.withdraw`.
+  lane filter, :meth:`PackedEventWheel.withdraw`.  Each sender keeps a
+  send horizon (the latest arrival tick it has filed), so a KILL at a
+  sender with nothing in flight skips the search;
+* one stepping body, :meth:`FlatEngine._burst`, runs a whole stretch of
+  busy ticks in one frame: :meth:`~repro.sim.engine.Engine.run` and
+  :meth:`~repro.sim.engine.Engine.run_to_idle` call it, and ``step_tick``
+  is a one-tick burst.  A drain runs only when a node has an outbox
+  entry due.
 
-Delivery timing, fast-forward (:meth:`Engine._advance` is inherited
-unchanged), outbox residence and KILL purge semantics are all reused from
-the base engine — this module replaces only the data plane.
+Delivery timing, fast-forward, outbox residence and KILL purge semantics
+are the base engine's, tick for tick — this module replaces only the data
+plane and the stepping loop beneath the run surface.
 """
 
 from __future__ import annotations
@@ -348,9 +355,10 @@ class FlatEngine(Engine):
     functions of (wiring, delta), so every engine over the same network
     shares one copy instead of re-lowering them — swaps the event wheel
     for :class:`PackedEventWheel`, and lowers each processor's per-kind
-    handler table into a code-indexed list.  Everything above the data
-    plane — fast-forward, run/drain orchestration, wake and invariant
-    hooks — is inherited from :class:`~repro.sim.engine.Engine` unchanged.
+    handler table into a code-indexed list.  The run surface (``run``,
+    ``run_to_idle``), wake and invariant hooks are inherited from
+    :class:`~repro.sim.engine.Engine` unchanged; the stepping body beneath
+    them (:meth:`_burst`) is this class's own.
     """
 
     #: Subclasses that patch the compiled wire tables in place (the dynamic
@@ -362,6 +370,11 @@ class FlatEngine(Engine):
     #: the flat hot loop dispatches on character codes; the per-kind object
     #: tables are resolved per node on first fallback use (see Engine)
     EAGER_DISPATCH = False
+
+    #: the wire-op program and its cursor, read by the stepping body; the
+    #: dynamic subclass loads a program per run, a static engine has none
+    _ops: tuple = ()
+    _cursor = 0
 
     def __init__(
         self,
@@ -406,6 +419,10 @@ class FlatEngine(Engine):
         #: re-install the very same objects and the dynamic engine can
         #: park and restore them
         self._fast_paths: dict[int, tuple] = {}
+        #: node -> the latest arrival tick its code sinks have filed (its
+        #: send horizon): a KILL purge at or past it has nothing to
+        #: withdraw.  Updated in place — the closures hold the list.
+        self._horizon: list[int] = [0] * len(processors)
         #: node -> code-indexed list of code-space handlers, or None (object
         #: path).  Every send-time node gets the code sinks; the object
         #: sinks are thin adapters onto them.  The code loop inlines
@@ -426,7 +443,7 @@ class FlatEngine(Engine):
             csend, cbroadcast = self._make_code_sinks(node, wires)
             paths = (
                 *self._make_object_sinks(csend, cbroadcast),
-                self._make_purge_hook(wires),
+                self._make_purge_hook(node, wires),
             )
             self._fast_paths[node] = paths
             proc._direct_sink, proc._direct_broadcast, proc._purge_hook = paths
@@ -437,27 +454,6 @@ class FlatEngine(Engine):
         #: the live view: the dynamic engine parks a degraded node's entry
         #: (sets it None) and restores it, mirroring its sink parking
         self._chandlers: list[list | None] = list(self._chandlers_all)
-        self._pack_tick_locals()
-
-    def _pack_tick_locals(self) -> None:
-        """Bundle the per-tick loop's constant bindings into one tuple.
-
-        ``step_tick`` runs once per event tick; rebinding a dozen attribute
-        lookups there is measurable on sparse runs.  Everything in the
-        bundle is either identity-stable across a reset (lists mutated in
-        place) or re-packed by :meth:`reset` (the transcript is rebound).
-        """
-        self._tick_locals = (
-            self.processors,
-            self._code_handlers,
-            self._chars,
-            self._emitted_by_code,
-            self.root,
-            self.transcript.record_recv,
-            self._chandlers,
-            self._kernel.fill_rows,
-            self._kernel.n_codes,
-        )
 
     def reset(self) -> None:
         """Restore power-on state; every compiled table survives.
@@ -483,11 +479,19 @@ class FlatEngine(Engine):
         # un-park every code-handler table (the closures themselves survive:
         # they reach all mutable processor state through `self` per call)
         self._chandlers[:] = self._chandlers_all
-        self._pack_tick_locals()  # the transcript recorder was rebound
+        self._horizon[:] = [0] * len(self._horizon)
 
     def restore(self, checkpoint, events) -> None:
+        """Load ``checkpoint``; every send horizon becomes the wheel's last tick.
+
+        A checkpoint does not say which sender filed which wheel entry, so
+        each node's horizon is set to the latest arrival tick in the
+        wheel: the first KILL purge at any node then searches the wheel.
+        """
         super().restore(checkpoint, events)
-        self._pack_tick_locals()  # the transcript recorder was rebound
+        buckets = self._wheel._buckets
+        last = max(buckets) if buckets else 0
+        self._horizon[:] = [last] * len(self._horizon)
 
     def _traffic_snapshot(self) -> tuple:
         """The kernel plus the non-zero per-code emission counts.
@@ -611,155 +615,209 @@ class FlatEngine(Engine):
     # ------------------------------------------------------------------
     # the data plane
     # ------------------------------------------------------------------
-    def _next_event_tick(self) -> int | None:
-        """Inline of :meth:`Engine._next_event_tick` over the packed wheel.
+    def step_tick(self) -> None:
+        """Advance the global clock by exactly one tick (a one-tick burst)."""
+        self._burst(self.tick + 1, None, None)
 
-        Same answer, two fewer method calls per event tick — this runs
-        once per fast-forward step, which dominates sparse-traffic runs.
+    def _burst(
+        self,
+        max_ticks: int,
+        until: Callable[[], bool] | None,
+        idle_from: int | None,
+    ) -> bool:
+        """The flat stepping body: :meth:`Engine._burst` in one frame.
+
+        Same contract and same ticks as the base loop, but every binding
+        is made once per burst instead of once per busy tick, and the
+        per-tick helpers are inlined: the next event tick (earliest wheel
+        bucket, due outbox entry or, on a dynamic engine, wire op), the
+        delivery of the tick's bucket, the drains and the wire ops due at
+        the tick.  ``until()`` is still evaluated after every busy tick,
+        so predicates on any processor's state see every change.
         """
+        processors = self.processors
+        code_handlers = self._code_handlers
+        chars = self._chars
+        emitted = self._emitted_by_code
+        root = self.root
+        record_recv = self.transcript.record_recv
+        live_chandlers = self._chandlers
+        kfill = self._kernel.fill_rows
+        kn = self._kernel.n_codes
         wheel = self._wheel
         ticks = wheel._ticks
         buckets = wheel._buckets
-        while ticks and ticks[0] not in buckets:
-            ticks.pop(0)
-        due = self._active._due
-        if not ticks:
-            return due[0][0] if due else None
-        wheel_tick = ticks[0]
-        if due:
-            due_tick = due[0][0]
-            if due_tick < wheel_tick:
-                return due_tick
-        return wheel_tick
+        ring = wheel._ring
+        active = self._active
+        live = active.live
+        update = active.update
+        drain = self._drain_node
+        ops = self._ops
+        n_ops = len(ops)
+        op_tick = ops[self._cursor].tick if self._cursor < n_ops else None
+        # the packed-entry field constants: the per-entry decode below is
+        # the hottest code in a flat run
+        code_mask = CODE_MASK
+        port_shift = PORT_SHIFT
+        port_mask = PORT_MASK
+        tick = self.tick
+        while tick < max_ticks:
+            if until is not None:
+                if until():
+                    return True
+            elif (
+                idle_from is not None
+                and tick >= idle_from
+                and not live
+                and not buckets
+            ):
+                return True
+            # the next event tick: the earliest of the next wheel bucket,
+            # the next (possibly stale) outbox due tick and the next wire op
+            while ticks and ticks[0] not in buckets:
+                ticks.pop(0)
+            nxt = op_tick
+            if ticks and (nxt is None or ticks[0] < nxt):
+                nxt = ticks[0]
+            due = active._due  # rebound by heap compaction: read per tick
+            if due and (nxt is None or due[0][0] < nxt):
+                nxt = due[0][0]
+            if nxt is None:
+                if until is not None:
+                    self.tick = max_ticks
+                    return False
+                self.tick = tick = tick + 1
+                continue
+            if nxt > tick + 1:
+                tick = min(nxt, max_ticks) - 1
+            self.tick = tick = tick + 1
 
-    def step_tick(self) -> None:
-        """Advance the global clock by exactly one tick."""
-        self.tick = tick = self.tick + 1
-        wheel = self._wheel
-        bucket = wheel.pop(tick)
-
-        if bucket is not None:
-            (
-                processors,
-                code_handlers,
-                chars,
-                emitted,
-                root,
-                record_recv,
-                live_chandlers,
-                kfill,
-                kn,
-            ) = self._tick_locals
-            n_codes = len(emitted)
-            tracer = self.tracer
-            lanes = bucket.lanes
-            # the code-space kernel: per-tick gate — a tracer needs every
-            # delivery decoded and recorded, so its presence sends whole
-            # ticks down the object path
-            chandlers = live_chandlers if tracer is None else None
-            # the packed-entry field constants, bound once per tick: the
-            # per-entry decode below is the hottest code in a flat run
-            code_mask = CODE_MASK
-            port_shift = PORT_SHIFT
-            port_mask = PORT_MASK
-            for node in bucket.nodes:
-                lane = lanes[node]
-                proc = processors[node]
-                # one plain integer sort recovers (priority, in-port, FIFO)
-                entries = sorted(lane) if len(lane) > 1 else lane
-                ctable = chandlers[node] if chandlers is not None else None
-                if ctable is not None:
-                    # code-space delivery: fill is one indexed load, the
-                    # handler dispatches on the small-int code, and only
-                    # codes outside the kernel (lazily interned strays) or
-                    # without a code handler decode a Char.
-                    # begin_tick inlined (table install requires the base
-                    # implementation); object-path bindings resolve lazily.
-                    proc._tick = tick
-                    handlers = fallback = None
+            bucket = buckets.pop(tick, None)
+            if bucket is not None:
+                n_codes = len(emitted)
+                tracer = self.tracer
+                lanes = bucket.lanes
+                # the code-space kernel: per-tick gate — a tracer needs every
+                # delivery decoded and recorded, so its presence sends whole
+                # ticks down the object path
+                chandlers = live_chandlers if tracer is None else None
+                for node in bucket.nodes:
+                    lane = lanes[node]
+                    proc = processors[node]
+                    # one plain integer sort recovers (priority, in-port, FIFO)
+                    entries = sorted(lane) if len(lane) > 1 else lane
+                    ctable = chandlers[node] if chandlers is not None else None
+                    if ctable is not None:
+                        # code-space delivery: fill is one indexed load, the
+                        # handler dispatches on the small-int code, and only
+                        # codes outside the kernel (lazily interned strays)
+                        # or without a code handler decode a Char.
+                        # begin_tick inlined (table install requires the
+                        # base implementation); object-path bindings
+                        # resolve lazily.
+                        proc._tick = tick
+                        handlers = fallback = None
+                        for packed in entries:
+                            code = packed & code_mask
+                            in_port = (packed >> port_shift) & port_mask
+                            if code < kn:
+                                code = kfill[code][in_port]
+                                h = ctable[code]
+                                if h is not None:
+                                    h(in_port, code)
+                                    continue
+                                char = chars[code]
+                            else:
+                                if code >= n_codes:
+                                    self._grow_code_tables()
+                                    n_codes = len(emitted)
+                                    handlers = None
+                                char = self._fill_stray(code, in_port)
+                            if handlers is None:
+                                handlers = (
+                                    code_handlers[node]
+                                    or self._node_code_table(node)
+                                )
+                                fallback = proc.handle
+                            handler = handlers[code]
+                            if handler is None:
+                                fallback(in_port, char)
+                            else:
+                                handler(in_port, char)
+                        continue
+                    # the object path (the parity oracle's semantics): the
+                    # root, traced ticks, parked nodes and handler-less
+                    # processors
+                    proc.begin_tick(tick)
+                    handlers = code_handlers[node]
+                    if handlers is None:
+                        handlers = self._node_code_table(node)
+                    fallback = proc.handle
+                    is_root = node == root
                     for packed in entries:
                         code = packed & code_mask
+                        if code >= n_codes:
+                            # a code scheduled through the generic wheel API
+                            # without passing the engine's intern path
+                            self._grow_code_tables()
+                            handlers = code_handlers[node]
+                            n_codes = len(emitted)
                         in_port = (packed >> port_shift) & port_mask
+                        char = chars[code]
+                        if is_root:
+                            record_recv(tick, in_port, char)
+                        if tracer is not None:
+                            tracer.record_delivery(tick, node, in_port, char)
+                        # §2.3.2 STAR fill to the canonical instance, after
+                        # the root transcript has recorded the character as
+                        # sent
                         if code < kn:
-                            code = kfill[code][in_port]
-                            h = ctable[code]
-                            if h is not None:
-                                h(in_port, code)
-                                continue
-                            char = chars[code]
+                            char = chars[kfill[code][in_port]]
                         else:
-                            if code >= n_codes:
-                                self._grow_code_tables()
-                                n_codes = len(emitted)
-                                handlers = None
                             char = self._fill_stray(code, in_port)
-                        if handlers is None:
-                            handlers = (
-                                code_handlers[node]
-                                or self._node_code_table(node)
-                            )
-                            fallback = proc.handle
                         handler = handlers[code]
                         if handler is None:
                             fallback(in_port, char)
                         else:
                             handler(in_port, char)
-                    continue
-                # the object path (the parity oracle's semantics): the root,
-                # traced ticks, parked nodes and handler-less processors
-                proc.begin_tick(tick)
-                handlers = code_handlers[node]
-                if handlers is None:
-                    handlers = self._node_code_table(node)
-                fallback = proc.handle
-                is_root = node == root
-                for packed in entries:
-                    code = packed & code_mask
-                    if code >= n_codes:
-                        # a code scheduled through the generic wheel API
-                        # without passing the engine's intern path
-                        self._grow_code_tables()
-                        handlers = code_handlers[node]
-                        n_codes = len(emitted)
-                    in_port = (packed >> port_shift) & port_mask
-                    char = chars[code]
-                    if is_root:
-                        record_recv(tick, in_port, char)
-                    if tracer is not None:
-                        tracer.record_delivery(tick, node, in_port, char)
-                    # §2.3.2 STAR fill to the canonical instance, after the
-                    # root transcript has recorded the character as sent
-                    if code < kn:
-                        char = chars[kfill[code][in_port]]
-                    else:
-                        char = self._fill_stray(code, in_port)
-                    handler = handlers[code]
-                    if handler is None:
-                        fallback(in_port, char)
-                    else:
-                        handler(in_port, char)
 
-        # Sink-equipped processors schedule at send time and keep an empty
-        # outbox; only nodes actually holding outbox entries (the root,
-        # sink-less processors, tracer interludes) need a drain pass.  A
-        # node hit by both loops drains twice — the second pass is an
-        # empty, side-effect-free fast path, cheaper than building the
-        # union set every tick.
-        active = self._active
-        if active._due:
-            for node in active.take_due(tick):
-                self._drain_node(node)
-        if bucket is not None:
-            # fused outbox sweep + bucket recycle: one walk over the
-            # delivered nodes checks for queued output and empties the
-            # lane (drains schedule at tick+1, never into this bucket)
-            nodes = bucket.nodes
-            for node in nodes:
-                if processors[node]._outbox:
-                    self._drain_node(node)
-                del lanes[node][:]
-            nodes.clear()
-            wheel._ring.append(bucket)
+            # Drains.  Sink-equipped processors schedule at send time and
+            # keep an empty outbox, so only nodes actually holding outbox
+            # entries (the root, sink-less processors, tracer interludes)
+            # need one, and only once an entry is due: a node whose next
+            # entry leaves later just re-files that tick in the due heap.
+            # A node hit by both sweeps is visited twice — the second visit
+            # finds nothing due, which is cheaper than building the union
+            # set every tick.
+            due = active._due
+            if due and due[0][0] <= tick:
+                for node in active.take_due(tick):
+                    next_due = processors[node]._next_due
+                    if next_due is not None and next_due <= tick:
+                        drain(node)
+                    else:
+                        update(node, next_due)
+            if bucket is not None:
+                # fused outbox sweep + bucket recycle: one walk over the
+                # delivered nodes checks for queued output and empties the
+                # lane (drains schedule at tick+1, never into this bucket)
+                nodes = bucket.nodes
+                for node in nodes:
+                    proc = processors[node]
+                    if proc._outbox:
+                        next_due = proc._next_due
+                        if next_due <= tick:
+                            drain(node)
+                        else:
+                            update(node, next_due)
+                    del lanes[node][:]
+                nodes.clear()
+                ring.append(bucket)
+
+            if op_tick is not None and op_tick <= tick:
+                self._apply_due_mutations()
+                op_tick = ops[self._cursor].tick if self._cursor < n_ops else None
+        return False
 
     def _blocked_emission(self, node: int, out_port: int, char: Char, dst: int) -> bool:
         """Handle an emission through a slot holding no live wire (dst < 0).
@@ -845,6 +903,7 @@ class FlatEngine(Engine):
         open_bucket = self._wheel.open_bucket
         emitted = self._emitted_by_code  # extended in place, never rebound
         code_base = self._kernel.code_base
+        horizon = self._horizon  # reset in place, never rebound
 
         def csend(out_port: int, code: int, arrival: int) -> None:
             slot = slot_base + out_port
@@ -855,6 +914,8 @@ class FlatEngine(Engine):
                     f"unconnected out-port {out_port}"
                 )
             emitted[code] += 1
+            if arrival > horizon[node]:
+                horizon[node] = arrival
             bucket = buckets.get(arrival)
             if bucket is None:
                 bucket = open_bucket(arrival)
@@ -869,6 +930,8 @@ class FlatEngine(Engine):
 
         def cbroadcast(code: int, arrival: int) -> None:
             emitted[code] += n_ports
+            if arrival > horizon[node]:
+                horizon[node] = arrival
             bucket = buckets.get(arrival)
             if bucket is None:
                 bucket = open_bucket(arrival)
@@ -886,8 +949,8 @@ class FlatEngine(Engine):
 
         return csend, cbroadcast
 
-    def _make_purge_hook(self, out_wires: tuple):
-        """Erase a node's pre-scheduled, still-purgeable characters.
+    def _make_purge_hook(self, node: int, out_wires: tuple):
+        """Erase ``node``'s pre-scheduled, still-purgeable characters.
 
         Under outbox semantics a character rests in its sender until its
         departure tick; a KILL arriving now may erase it.  The direct sink
@@ -897,17 +960,22 @@ class FlatEngine(Engine):
         (:meth:`PackedEventWheel.withdraw`; the arrival in-port identifies
         the wire, hence the sender).  Emission counters are
         rolled back so traffic metrics match the object backend, which
-        never counts a purged character as emitted.
+        never counts a purged character as emitted.  A node whose send
+        horizon has passed has nothing in flight, and skips the search.
         """
         withdraw = self._wheel.withdraw
         chars = self._chars
         emitted = self._emitted_by_code  # extended in place, never rebound
         growing_code = self._kernel.growing_code  # extended by the kernel
+        horizon = self._horizon  # reset in place, never rebound
 
         def purge(predicate) -> int:
+            # entries arriving by now already departed under outbox
+            # semantics, so a horizon at or before now leaves nothing
+            if horizon[node] <= self.tick:
+                return 0
             # the PURGES_ONLY_GROWING contract: the predicate can only ever
-            # match growing-snake kinds, so everything else skips the call;
-            # entries arriving by now already departed under outbox semantics
+            # match growing-snake kinds, so everything else skips the call
             removed = withdraw(
                 self.tick,
                 out_wires,

@@ -255,15 +255,17 @@ class Processor(ABC):
         yet passed — the purge hook erases those from the delivery queue,
         so timing-observable behaviour is identical to outbox residence.
         """
-        before = len(self._outbox)
-        self._outbox = [e for e in self._outbox if not predicate(e.char)]
+        removed = 0
         if self._outbox:
-            self._next_due = min(e.due_tick for e in self._outbox)
-            self._max_due = max(e.due_tick for e in self._outbox)
-        else:
-            self._next_due = None
-            self._max_due = 0
-        removed = before - len(self._outbox)
+            before = len(self._outbox)
+            self._outbox = [e for e in self._outbox if not predicate(e.char)]
+            if self._outbox:
+                self._next_due = min(e.due_tick for e in self._outbox)
+                self._max_due = max(e.due_tick for e in self._outbox)
+            else:
+                self._next_due = None
+                self._max_due = 0
+            removed = before - len(self._outbox)
         hook = self._purge_hook
         if hook is not None:
             removed += hook(predicate)

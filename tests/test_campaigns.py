@@ -62,6 +62,25 @@ class TestSpec:
         with pytest.raises(ReproError):
             build_family("nope", 8)
 
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_size_below_one_rejected_eagerly(self, size):
+        with pytest.raises(ReproError, match="network size must be >= 1"):
+            CampaignSpec(families=("torus",), sizes=(8, size))
+        with pytest.raises(ReproError, match="network size must be >= 1"):
+            Scenario("torus", size)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_BUILDERS))
+    def test_build_family_rejects_size_below_one(self, family):
+        # no family may quietly build its smallest network for a size of
+        # zero or less: the label would then name a wiring it is not
+        for size in (0, -5):
+            with pytest.raises(ReproError, match="network size must be >= 1"):
+                build_family(family, size)
+
+    def test_generator_size_error_names_family_and_size(self):
+        with pytest.raises(ReproError, match=r"bidirectional-ring\(1\)"):
+            build_family("bidirectional-ring", 1)
+
 
 class TestFaultParsing:
     def test_none(self):
@@ -334,6 +353,35 @@ class TestCli:
         assert main(["campaign", "--families", "de-bruijn", "--sizes", "6",
                      "--faults", "melt:1"]) == 2
         assert "unknown fault model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family,size", [("torus", "0"), ("de-bruijn", "-3"), ("bidirectional-ring", "1")]
+    )
+    def test_map_bad_size_is_a_clean_error(self, capsys, family, size):
+        assert main(["map", "--family", family, "--size", size]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "network:" not in captured.out  # rejected before any run
+
+    def test_campaign_size_zero_is_a_clean_error(self, capsys, tmp_path):
+        # with --artifacts the prewarm used to die on the generator's
+        # ValueError before any cell ran
+        for extra in ([], ["--artifacts", str(tmp_path / "art")]):
+            assert main([
+                "campaign", "--families", "directed-ring", "--sizes", "0",
+                "--faults", "none", "--seeds", "1", *extra,
+            ]) == 2
+            assert "network size must be >= 1" in capsys.readouterr().err
+
+    def test_prewarm_skips_an_unbuildable_wiring(self, capsys, tmp_path):
+        assert main([
+            "campaign", "--families", "bidirectional-ring", "--sizes", "1",
+            "--faults", "none", "--seeds", "1",
+            "--artifacts", str(tmp_path / "art"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "prewarm skipped bidirectional-ring(1) s0: cannot build" in out
+        assert "outcomes {'error': 1}" in out
 
     def test_map_repeats_rejects_single_run_flags(self, capsys):
         assert main(["map", "--family", "de-bruijn", "--size", "6",

@@ -15,6 +15,7 @@ from repro.sim.characters import (
     make_body,
     make_head,
 )
+from repro.sim.engine import Engine
 from repro.sim.flatcore import (
     CODE_MASK,
     PORT_MASK,
@@ -289,3 +290,100 @@ class TestFlatEngine:
         assert sum(first.values()) > 0
         again = result.engine.metrics  # property re-flushes from scratch
         assert dict(again.delivered) == first
+
+
+# ----------------------------------------------------------------------
+# the send horizon: KILL purges skip senders with nothing in flight
+# ----------------------------------------------------------------------
+def _count_withdraws(monkeypatch) -> list[tuple[int, int]]:
+    """Record ``(after, removed count)`` per wheel withdraw from now on.
+
+    Patched on the class before any engine is built: the purge hooks bind
+    ``withdraw`` when the engine installs them.
+    """
+    calls: list[tuple[int, int]] = []
+    original = PackedEventWheel.withdraw
+
+    def withdraw(wheel, after, wires, match=None):
+        removed = original(wheel, after, wires, match)
+        calls.append((after, len(removed)))
+        return removed
+
+    monkeypatch.setattr(PackedEventWheel, "withdraw", withdraw)
+    return calls
+
+
+def _finish(engine, *, start: bool) -> tuple:
+    """Run GTD on ``engine`` to termination and idle; every observable."""
+    root = engine.processors[engine.root]
+    ticks = engine.run(max_ticks=50_000, until=lambda: root.terminal, start=start)
+    engine.run_to_idle(max_ticks=60_000)
+    return (
+        ticks,
+        engine.tick,
+        list(engine.transcript.events()),
+        engine.metrics.snapshot(),
+    )
+
+
+class TestSendHorizon:
+    GRAPH = staticmethod(lambda: generators.de_bruijn(2, 3))
+
+    def _engine(self, cls=FlatEngine):
+        graph = self.GRAPH()
+        return cls(graph, [GTDProcessor() for _ in graph.nodes()], root=0)
+
+    def test_purges_skip_senders_with_nothing_in_flight(self, monkeypatch):
+        calls = _count_withdraws(monkeypatch)
+        purges = []
+        original = GTDProcessor.purge_outbox
+
+        def purge_outbox(proc, predicate):
+            purges.append(proc)
+            return original(proc, predicate)
+
+        monkeypatch.setattr(GTDProcessor, "purge_outbox", purge_outbox)
+        flat = _finish(self._engine(), start=True)
+        assert flat == _finish(self._engine(Engine), start=True)
+        searched = len(calls)
+        hooked = sum(proc._purge_hook is not None for proc in purges)
+        assert any(removed for _, removed in calls)  # KILLs do erase here
+        assert 0 < searched < hooked
+
+    def test_restored_rung_loses_filed_growing_chars_to_a_kill(self, monkeypatch):
+        """A rung's in-flight growing characters stay purgeable after restore.
+
+        The checkpoint does not say who filed its wheel entries, so a
+        restored engine must search on the first KILL at any sender; it
+        restores into an engine whose previous run was reset away.
+        """
+        calls = _count_withdraws(monkeypatch)
+        reference = _finish(self._engine(Engine), start=True)
+        assert _finish(self._engine(), start=True) == reference
+        purge_ticks = sorted({after for after, removed in calls if removed})
+        assert purge_ticks
+        engine = self._engine()
+        _finish(engine, start=True)
+        for purge_tick in purge_ticks[:4]:
+            # a KILL is handled first at its node, so everything it erases
+            # at purge_tick was filed by the tick before
+            source = self._engine()
+            source.start()
+            while source.tick < purge_tick - 1:
+                source.step_tick()
+            rung = source.checkpoint()
+            engine.reset()
+            engine.restore(rung, list(source.transcript.events()))
+            del calls[:]
+            assert _finish(engine, start=False) == reference
+            assert (purge_tick, True) in {(a, bool(n)) for a, n in calls}
+
+    def test_reset_engine_searches_like_a_fresh_one(self, monkeypatch):
+        calls = _count_withdraws(monkeypatch)
+        engine = self._engine()
+        first = _finish(engine, start=True)
+        fresh = list(calls)
+        del calls[:]
+        engine.reset()
+        assert _finish(engine, start=True) == first
+        assert calls == fresh

@@ -6,6 +6,7 @@ from typing import Any
 
 import pytest
 
+from repro.dynamics.engine import DynamicEngine, FlatDynamicEngine, WireMutation
 from repro.errors import TickBudgetExceeded
 from repro.protocol.gtd import GTDProcessor
 from repro.sim.characters import (
@@ -19,6 +20,7 @@ from repro.sim.characters import (
     make_head,
 )
 from repro.sim.engine import Engine
+from repro.sim.flatcore import FlatEngine
 from repro.sim.processor import Processor
 from repro.sim.scheduler import (
     PRIORITY_CONTROL,
@@ -213,45 +215,67 @@ class StarterRoot(Recorder):
         self.send(self.out_port, self.char)
 
 
-def two_node_engine(root_proc, other_proc):
+def two_node_graph():
     b = PortGraphBuilder(2)
-    g = b.connect(0, 1).connect(1, 0).build()
-    return Engine(g, [root_proc, other_proc], root=0)
+    return b.connect(0, 1).connect(1, 0).build()
+
+
+def two_node_engine(root_proc, other_proc, engine_cls=Engine):
+    return engine_cls(two_node_graph(), [root_proc, other_proc], root=0)
+
+
+class Bouncer(Recorder):
+    """Returns every character it receives: a run that never ends."""
+
+    def on_start(self) -> None:
+        self.send(1, make_body("IG", 1))
+
+    def handle(self, in_port: int, char: Char) -> None:
+        super().handle(in_port, char)
+        self.broadcast(char)
 
 
 class TestBudgetAndIdle:
+    """The stepping contract, on the object backend (see the flat twin)."""
+
+    engine_cls = Engine
+
     def test_tick_budget_exhaustion_raises(self):
-        class Bouncer(Recorder):
-            def on_start(self) -> None:
-                self.send(1, make_body("IG", 1))
-
-            def handle(self, in_port: int, char: Char) -> None:
-                super().handle(in_port, char)
-                self.broadcast(char)
-
-        engine = two_node_engine(Bouncer(), Bouncer())
+        engine = two_node_engine(Bouncer(), Bouncer(), self.engine_cls)
         with pytest.raises(TickBudgetExceeded):
             engine.run(max_ticks=50, until=lambda: False)
-        assert engine.tick >= 50
+        assert engine.tick == 50
 
     def test_budget_exhaustion_on_dead_network(self):
         # Nothing ever moves; until never holds; the watchdog must still fire.
-        engine = two_node_engine(Recorder(), Recorder())
+        engine = two_node_engine(Recorder(), Recorder(), self.engine_cls)
         with pytest.raises(TickBudgetExceeded):
             engine.run(max_ticks=30, until=lambda: False, start=False)
+        assert engine.tick == 30
 
     def test_idle_drain_detection(self):
         recorder = Recorder()  # absorbs everything
-        engine = two_node_engine(StarterRoot(make_head("IG", 1)), recorder)
+        engine = two_node_engine(
+            StarterRoot(make_head("IG", 1)), recorder, self.engine_cls
+        )
         ticks = engine.run(max_ticks=100)
         assert engine.is_idle()
-        assert ticks <= 5
+        assert ticks == 3  # leaves the root at tick 2, absorbed at tick 3
         # run_to_idle on an already-idle engine returns immediately
         assert engine.run_to_idle(max_ticks=200) == ticks
 
+    def test_idle_at_tick_zero(self):
+        # run() with no predicate steps one dead tick before it reports
+        # idle; run_to_idle() reports an idle network at once
+        engine = two_node_engine(Recorder(), Recorder(), self.engine_cls)
+        assert engine.run_to_idle(max_ticks=10) == 0
+        assert engine.run(max_ticks=10, start=False) == 1
+
     def test_next_event_tick_sees_wires_and_outboxes(self):
         recorder = Recorder()
-        engine = two_node_engine(StarterRoot(make_head("IG", 1)), recorder)
+        engine = two_node_engine(
+            StarterRoot(make_head("IG", 1)), recorder, self.engine_cls
+        )
         engine.start()
         # speed-1 char rests 2 more ticks in the root, then 1 tick on the wire
         assert engine._next_event_tick() == 2
@@ -263,12 +287,87 @@ class TestBudgetAndIdle:
         assert engine._next_event_tick() is None
 
 
+class TestBudgetAndIdleFlat(TestBudgetAndIdle):
+    engine_cls = FlatEngine
+
+
+class TestDynamicStepping:
+    """Wire ops bound the fast-forward identically on both backends."""
+
+    def _engines(self, make_processors, ops):
+        graph = two_node_graph()
+        return [
+            cls(graph, make_processors(), ops, root=0)
+            for cls in (DynamicEngine, FlatDynamicEngine)
+        ]
+
+    def test_deadlock_raises_at_the_same_tick(self):
+        # the cut kills the only way back to the root: the bouncing
+        # character is lost and the network goes dead under an until that
+        # never holds
+        wire = two_node_graph().out_wire(1, 1)
+        ticks = []
+        for engine in self._engines(
+            lambda: [Bouncer(), Bouncer()], [WireMutation(20, "cut", wire)]
+        ):
+            with pytest.raises(TickBudgetExceeded):
+                engine.run(max_ticks=500, until=lambda: False)
+            assert engine.lost_characters > 0
+            ticks.append(engine.tick)
+        assert ticks == [500, 500]
+
+    def test_livelock_raises_at_the_same_tick(self):
+        # a cut and heal that do not stop the bouncing: the budget fires
+        # while characters are still moving
+        wire = two_node_graph().out_wire(1, 1)
+        ops = [WireMutation(7, "cut", wire), WireMutation(9, "heal", wire)]
+        results = []
+        for engine in self._engines(lambda: [Bouncer(), Bouncer()], ops):
+            with pytest.raises(TickBudgetExceeded):
+                engine.run(max_ticks=101, until=lambda: False)
+            results.append((engine.tick, engine.applied_mutations))
+        assert results[0] == results[1]
+        assert results[0][0] == 101
+
+    def test_op_after_the_wheel_empties_lands_at_its_tick(self):
+        wire = two_node_graph().out_wire(1, 1)
+        ops = [WireMutation(40, "cut", wire), WireMutation(60, "heal", wire)]
+        results = []
+        for engine in self._engines(
+            lambda: [StarterRoot(make_head("IG", 1)), Recorder()], ops
+        ):
+            # the character is absorbed at tick 3; the ops alone keep
+            # the clock moving, one event tick per op
+            seen = []
+
+            def both_applied(engine=engine, seen=seen):
+                seen.append(engine.tick)
+                return len(engine.applied_mutations) == 2
+
+            assert engine.run(max_ticks=1000, until=both_applied) == 60
+            results.append((seen, engine.applied_mutations))
+        assert results[0] == results[1]
+        assert results[0][0][-2:] == [40, 60]
+        assert results[0][1] == ops
+
+    def test_step_tick_applies_ops_once(self):
+        wire = two_node_graph().out_wire(1, 1)
+        ops = [WireMutation(3, "cut", wire), WireMutation(3, "heal", wire)]
+        for engine in self._engines(lambda: [Recorder(), Recorder()], ops):
+            for expected in ([], [], [], ops, ops):
+                assert engine.applied_mutations == expected
+                engine.step_tick()
+            assert engine.tick == 5
+
+
 class TestFastForwardEquivalence:
     """run() skips empty ticks but must be observationally identical."""
 
-    def _run_manual(self, graph):
+    engine_cls = Engine
+
+    def _run_manual(self, graph, engine_cls):
         processors = [GTDProcessor() for _ in graph.nodes()]
-        engine = Engine(graph, list(processors), root=0)
+        engine = engine_cls(graph, list(processors), root=0)
         engine.start()
         root = processors[0]
         while not root.terminal:
@@ -279,9 +378,9 @@ class TestFastForwardEquivalence:
             engine.step_tick()
         return engine, ticks
 
-    def _run_fast(self, graph):
+    def _run_fast(self, graph, engine_cls):
         processors = [GTDProcessor() for _ in graph.nodes()]
-        engine = Engine(graph, list(processors), root=0)
+        engine = engine_cls(graph, list(processors), root=0)
         root = processors[0]
         ticks = engine.run(max_ticks=50_000, until=lambda: root.terminal)
         engine.run_to_idle(max_ticks=60_000)
@@ -297,14 +396,25 @@ class TestFastForwardEquivalence:
         ids=["de_bruijn", "biring", "dring"],
     )
     def test_transcripts_and_ticks_identical(self, make_graph):
-        manual_engine, manual_ticks = self._run_manual(make_graph())
-        fast_engine, fast_ticks = self._run_fast(make_graph())
-        assert manual_ticks == fast_ticks
-        assert manual_engine.tick == fast_engine.tick
-        assert list(manual_engine.transcript.events()) == list(
-            fast_engine.transcript.events()
+        manual_engine, manual_ticks = self._run_manual(make_graph(), self.engine_cls)
+        fast_engine, fast_ticks = self._run_fast(make_graph(), self.engine_cls)
+        reference, reference_ticks = self._run_fast(make_graph(), Engine)
+        assert manual_ticks == fast_ticks == reference_ticks
+        assert manual_engine.tick == fast_engine.tick == reference.tick
+        assert (
+            list(manual_engine.transcript.events())
+            == list(fast_engine.transcript.events())
+            == list(reference.transcript.events())
         )
-        assert manual_engine.metrics.snapshot() == fast_engine.metrics.snapshot()
+        assert (
+            manual_engine.metrics.snapshot()
+            == fast_engine.metrics.snapshot()
+            == reference.metrics.snapshot()
+        )
+
+
+class TestFastForwardEquivalenceFlat(TestFastForwardEquivalence):
+    engine_cls = FlatEngine
 
 
 class TestDispatchTables:
