@@ -403,11 +403,10 @@ class FlatDynamicEngine(DynamicWiringMixin, FlatEngine):
         decides their fate at departure time: lost if the wire is still
         cut, delivered if a heal raced the residence window.  Entries with
         arrival ``t + 1`` already departed and still arrive, as the model
-        requires.
+        requires.  No entry on the wire lies past the sender's send horizon.
         """
-        rehomed = self._wheel.withdraw(
-            self.tick + 1, ((wire.dst, wire.in_port << PORT_SHIFT),)
-        )
+        wires = ((wire.dst, wire.in_port << PORT_SHIFT),)
+        rehomed = self._wheel.withdraw(self.tick + 1, self._horizon[wire.src], wires)
         if rehomed:
             chars = self._chars
             emitted = self._emitted_by_code

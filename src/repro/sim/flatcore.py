@@ -19,8 +19,10 @@ on dense integer tables instead of Python object graphs:
   small integer code with one canonical :class:`~repro.sim.characters.Char`
   instance, so the wheel stores plain ints and delivery never allocates;
 * the event wheel (:class:`PackedEventWheel`) replaces the object wheel's
-  per-character tuples with ring-recycled ``array('q')`` lanes of packed
-  64-bit entries.  The precomputed kind-priority rides in the top bits::
+  per-character tuples with ``array('q')`` lanes of packed 64-bit entries,
+  in a fixed ring of 16 tick slots reused in place (every arrival lies
+  within 15 ticks of now).  The precomputed kind-priority rides in the
+  top bits::
 
       bit 56..57   in-tick handling priority (KIND_PRIORITY of the code)
       bit 40..55   arrival in-port
@@ -42,8 +44,9 @@ on dense integer tables instead of Python object graphs:
   — a KILL purging characters that would still rest in their sender, or
   a cut pulling them back to the sender's outbox — is one wheel-level
   lane filter, :meth:`PackedEventWheel.withdraw`.  Each sender keeps a
-  send horizon (the latest arrival tick it has filed), so a KILL at a
-  sender with nothing in flight skips the search;
+  send horizon (the latest arrival tick it has filed): a KILL at a
+  sender with nothing in flight skips the search, and a search scans
+  only the slots up to the horizon;
 * one stepping body, :meth:`FlatEngine._burst`, runs a whole stretch of
   busy ticks in one frame: :meth:`~repro.sim.engine.Engine.run` and
   :meth:`~repro.sim.engine.Engine.run_to_idle` call it, and ``step_tick``
@@ -87,22 +90,33 @@ __all__ = [
     "PORT_SHIFT",
     "PORT_MASK",
     "PRIO_SHIFT",
+    "WHEEL_SLOTS",
     "PackedEventWheel",
     "FlatEngine",
 ]
 
 
-class _Bucket:
-    """One tick's arrivals: per-node packed lanes, recycled tick over tick.
+#: ring size of :class:`PackedEventWheel`: tick ``t`` lives in slot
+#: ``t & (WHEEL_SLOTS - 1)``.  A hop takes at most 3 ticks, so every
+#: arrival the engine files lies well inside the window ``(now, now + 15]``.
+WHEEL_SLOTS = 16
+_MASK = WHEEL_SLOTS - 1  # the slot mask, and the window's length in ticks
 
-    The FIFO tie-break needs no explicit counter: entries append to one
-    lane in schedule order, so ``len(lane)`` at append time *is* the
-    within-lane sequence number.
+
+class _Bucket:
+    """One slot's arrivals: per-node packed lanes, reused tick over tick.
+
+    ``tick`` is the tick the slot was last claimed for; the bucket is
+    pending exactly while ``nodes`` is non-empty.  The FIFO tie-break
+    needs no explicit counter: entries append to one lane in schedule
+    order, so ``len(lane)`` at append time *is* the within-lane sequence
+    number.
     """
 
-    __slots__ = ("nodes", "lanes")
+    __slots__ = ("tick", "nodes", "lanes")
 
     def __init__(self) -> None:
+        self.tick = -1
         self.nodes: list[int] = []            # first-touch order, like dict order
         self.lanes: dict[int, array] = {}     # node -> array('q') of packed entries
 
@@ -123,18 +137,14 @@ class PackedEventWheel:
     ``in_flight``), but ``schedule`` encodes the character through the
     kernel and appends one packed int to the destination node's
     ``array('q')`` lane, and ``pop`` hands the whole bucket back for
-    zero-copy delivery.  Buckets (and their lanes) are recycled through a
-    free ring via :meth:`recycle` instead of being reallocated per tick.
+    zero-copy delivery.  The buckets live in one fixed ring, ``slots``, of
+    :data:`WHEEL_SLOTS` entries: tick ``t`` in slot ``t & 15``.  Filing
+    into a slot that holds another tick goes through :meth:`claim`, which
+    refuses an arrival outside ``(now, now + 15]`` or a slot still
+    pending, so the ring never wraps silently.
     """
 
-    __slots__ = (
-        "kernel",
-        "chars",
-        "base_of",
-        "_buckets",
-        "_ticks",
-        "_ring",
-    )
+    __slots__ = ("kernel", "chars", "base_of", "slots")
 
     def __init__(self, kernel: CharKernel) -> None:
         # the encode map is the kernel's own (shared by every wheel at this
@@ -142,9 +152,7 @@ class PackedEventWheel:
         self.kernel = kernel
         self.chars = kernel.chars
         self.base_of = kernel.base_of
-        self._buckets: dict[int, _Bucket] = {}
-        self._ticks: list[int] = []   # sorted ascending; popped from the front
-        self._ring: list[_Bucket] = []
+        self.slots: list[_Bucket] = [_Bucket() for _ in range(WHEEL_SLOTS)]
 
     # ------------------------------------------------------------------
     def encode_base(self, char: Char) -> int:
@@ -155,11 +163,17 @@ class PackedEventWheel:
             base = kernel.code_base[kernel.encode(char)]
         return base
 
-    def schedule(self, tick: int, node: int, in_port: int, char: Char) -> None:
-        """File ``char`` for delivery at ``tick`` through ``in_port``."""
-        bucket = self._buckets.get(tick)
-        if bucket is None:
-            bucket = self.open_bucket(tick)
+    def schedule(
+        self, tick: int, node: int, in_port: int, char: Char, *, now: int = 0
+    ) -> None:
+        """File ``char`` for delivery at ``tick`` through ``in_port``.
+
+        ``now`` is the current tick: ``tick`` must lie in ``(now, now +
+        15]`` (see :meth:`claim`).
+        """
+        bucket = self.slots[tick & _MASK]
+        if bucket.tick != tick:
+            bucket = self.claim(tick, now)
         lanes = bucket.lanes
         lane = lanes.get(node)
         if lane is None:
@@ -173,47 +187,54 @@ class PackedEventWheel:
             | (len(lane) << SEQ_SHIFT)
         )
 
-    def open_bucket(self, tick: int) -> _Bucket:
-        """Register an empty bucket for ``tick``, which must hold none yet.
+    def claim(self, tick: int, now: int) -> _Bucket:
+        """Stamp ``tick`` into its slot, which holds another tick; return it.
 
-        The one place a bucket enters the wheel: it comes from the free
-        ring when one is there, and ``_ticks`` stays sorted.  Hot callers
-        try ``_buckets.get`` inline first and call this only on a miss.
+        Raises :class:`~repro.errors.SimulationError` when ``tick`` lies
+        outside ``(now, now + 15]`` or the slot's bucket is still pending:
+        either would wrap the ring onto live entries.  Hot callers index
+        ``slots`` inline and call this only when the stamp differs.
         """
-        ring = self._ring
-        bucket = self._buckets[tick] = ring.pop() if ring else _Bucket()
-        ticks = self._ticks
-        ticks.append(tick)
-        if len(ticks) > 1 and tick < ticks[-2]:
-            ticks.sort()
+        bucket = self.slots[tick & _MASK]
+        if not now < tick <= now + _MASK:
+            raise SimulationError(
+                f"arrival tick {tick} outside the wheel window "
+                f"({now}, {now + _MASK}]"
+            )
+        if bucket.nodes:
+            raise SimulationError(
+                f"wheel slot for tick {tick} still holds tick {bucket.tick}"
+            )
+        bucket.tick = tick
         return bucket
 
     def withdraw(
         self,
         after: int,
+        until: int,
         wires: Iterable[tuple[int, int]],
         match: Callable[[int], bool] | None = None,
     ) -> list[tuple[int, int]]:
-        """Remove entries arriving after tick ``after`` through ``wires``.
+        """Remove entries arriving in ``(after, until]`` through ``wires``.
 
         ``wires`` lists ``(dst, in_port << PORT_SHIFT)`` pairs: a lane and
         the packed in-port field that names the sending wire.  ``match``
         narrows the removal by character code (``None`` takes every entry
-        on those wires).  Returns the removed ``(arrival, code)`` pairs in
-        ascending arrival order, lane order within a tick.  The survivors'
-        sequence numbers are renumbered to stay dense, an emptied lane
-        leaves ``nodes`` and an emptied bucket leaves the wheel for the
-        free ring: an empty registered bucket would keep the engine "busy"
-        and step it to a tick where nothing happens.
+        on those wires).  ``until`` is the senders' send horizon; only the
+        window's ticks are scanned.  Returns the removed ``(arrival,
+        code)`` pairs in ascending arrival order, lane order within a
+        tick.  The survivors' sequence numbers are renumbered to stay
+        dense, and an emptied lane leaves ``nodes`` (an emptied bucket is
+        then simply not pending).
         """
-        buckets = self._buckets
+        slots = self.slots
         port_field = PORT_MASK << PORT_SHIFT
         seq_field = ((1 << SEQ_BITS) - 1) << SEQ_SHIFT
         removed: list[tuple[int, int]] = []
-        for arrival in sorted(buckets):
-            if arrival <= after:
+        for arrival in range(after + 1, min(until, after + _MASK) + 1):
+            bucket = slots[arrival & _MASK]
+            if bucket.tick != arrival:
                 continue
-            bucket = buckets[arrival]
             lanes = bucket.lanes
             for dst, shifted_in in wires:
                 lane = lanes.get(dst)
@@ -238,52 +259,46 @@ class PackedEventWheel:
                     )
                     if not lane:
                         bucket.nodes.remove(dst)
-            if not bucket.nodes:
-                del buckets[arrival]
-                self.recycle(bucket)
         return removed
 
     def pop(self, tick: int) -> _Bucket | None:
         """Remove and return the arrivals bucket for ``tick`` (or ``None``).
 
-        The caller owns the bucket until it hands it back via
-        :meth:`recycle`; a bucket that is never recycled is simply garbage
-        collected (slow paths and tests need no discipline).
+        The caller keeps the bucket; its slot gets a fresh one.  The
+        engine delivers in place instead (slow paths and tests use this).
         """
-        return self._buckets.pop(tick, None)
+        index = tick & _MASK
+        bucket = self.slots[index]
+        if bucket.tick != tick or not bucket.nodes:
+            return None
+        self.slots[index] = _Bucket()
+        return bucket
 
     def clear(self) -> None:
         """Empty the wheel in place, preserving container identity.
 
         Engine reuse requires clearing rather than replacing: the flat
-        engine's send-time sink closures captured ``_buckets`` and this
-        wheel's :meth:`open_bucket` at install time, so the containers
-        must survive a reset (``_ticks`` is emptied via slice-delete,
-        never rebound).
-        Recycled buckets stay in the free ring for the next run.
+        engine's send-time sink closures captured ``slots`` at install
+        time, so the list must survive a reset.
         """
-        buckets = self._buckets
-        ring = self._ring
-        for bucket in buckets.values():
+        for bucket in self.slots:
             bucket.clear()
-            ring.append(bucket)
-        buckets.clear()
-        del self._ticks[:]
 
     def snapshot(self) -> tuple:
         """The wheel's contents as compact immutable data (checkpoints).
 
-        One ``(tick, nodes, lane lengths, lane bytes)`` record per bucket:
-        the touched nodes in delivery order and their packed lanes
-        concatenated into one ``bytes`` object.
+        One ``(tick, nodes, lane lengths, lane bytes)`` record per pending
+        bucket, in tick order: the touched nodes in delivery order and
+        their packed lanes concatenated into one ``bytes`` object.
         """
         records = []
-        for tick, bucket in self._buckets.items():
+        pending = (bucket for bucket in self.slots if bucket.nodes)
+        for bucket in sorted(pending, key=lambda bucket: bucket.tick):
             lanes = bucket.lanes
             nodes = tuple(bucket.nodes)
             records.append(
                 (
-                    tick,
+                    bucket.tick,
                     nodes,
                     tuple(len(lanes[node]) for node in nodes),
                     b"".join(lanes[node].tobytes() for node in nodes),
@@ -295,12 +310,13 @@ class PackedEventWheel:
         """Replace the contents with a :meth:`snapshot`, in place.
 
         Container identity survives (see :meth:`clear`), so the engine's
-        send-time closures keep scheduling into this very wheel.
+        send-time closures keep scheduling into this very wheel.  The
+        records must fit one window, counted from the first record's tick.
         """
         self.clear()
         width = array("q").itemsize
         for tick, nodes, lengths, blob in snapshot:
-            bucket = self.open_bucket(tick)
+            bucket = self.claim(tick, snapshot[0][0] - 1)
             lanes = bucket.lanes
             view = memoryview(blob)
             start = 0
@@ -313,33 +329,20 @@ class PackedEventWheel:
                 start = end
             bucket.nodes.extend(nodes)
 
-    def recycle(self, bucket: _Bucket) -> None:
-        """Clear a delivered bucket and return it to the free ring."""
-        bucket.clear()
-        self._ring.append(bucket)
-
     def next_tick(self) -> int | None:
         """The earliest tick holding scheduled arrivals, or ``None``."""
-        ticks = self._ticks
-        buckets = self._buckets
-        while ticks and ticks[0] not in buckets:
-            ticks.pop(0)
-        return ticks[0] if ticks else None
+        return min((bucket.tick for bucket in self.slots if bucket.nodes), default=None)
 
     def __bool__(self) -> bool:
-        return bool(self._buckets)
+        return any(bucket.nodes for bucket in self.slots)
 
     def __len__(self) -> int:
-        return sum(
-            len(lane)
-            for bucket in self._buckets.values()
-            for lane in bucket.lanes.values()
-        )
+        return sum(len(lane) for bucket in self.slots for lane in bucket.lanes.values())
 
     def in_flight(self) -> Iterator[tuple[int, Char]]:
         """All scheduled characters as ``(destination, char)`` pairs."""
         chars = self.chars
-        for bucket in self._buckets.values():
+        for bucket in self.slots:
             for node in bucket.nodes:
                 for packed in bucket.lanes[node]:
                     yield node, chars[packed & CODE_MASK]
@@ -485,12 +488,11 @@ class FlatEngine(Engine):
         """Load ``checkpoint``; every send horizon becomes the wheel's last tick.
 
         A checkpoint does not say which sender filed which wheel entry, so
-        each node's horizon is set to the latest arrival tick in the
+        each node's horizon is set to the latest pending tick in the
         wheel: the first KILL purge at any node then searches the wheel.
         """
         super().restore(checkpoint, events)
-        buckets = self._wheel._buckets
-        last = max(buckets) if buckets else 0
+        last = max((b.tick for b in self._wheel.slots if b.nodes), default=0)
         self._horizon[:] = [last] * len(self._horizon)
 
     def _traffic_snapshot(self) -> tuple:
@@ -546,7 +548,7 @@ class FlatEngine(Engine):
         """
         chars = self._chars
         in_wheel = [0] * len(chars)
-        for bucket in self._wheel._buckets.values():
+        for bucket in self._wheel.slots:
             lanes = bucket.lanes
             for node in bucket.nodes:
                 for packed in lanes[node]:
@@ -629,8 +631,8 @@ class FlatEngine(Engine):
 
         Same contract and same ticks as the base loop, but every binding
         is made once per burst instead of once per busy tick, and the
-        per-tick helpers are inlined: the next event tick (earliest wheel
-        bucket, due outbox entry or, on a dynamic engine, wire op), the
+        per-tick helpers are inlined: the next event tick (earliest pending
+        wheel slot, due outbox entry or, on a dynamic engine, wire op), the
         delivery of the tick's bucket, the drains and the wire ops due at
         the tick.  ``until()`` is still evaluated after every busy tick,
         so predicates on any processor's state see every change.
@@ -644,10 +646,8 @@ class FlatEngine(Engine):
         live_chandlers = self._chandlers
         kfill = self._kernel.fill_rows
         kn = self._kernel.n_codes
-        wheel = self._wheel
-        ticks = wheel._ticks
-        buckets = wheel._buckets
-        ring = wheel._ring
+        slots = self._wheel.slots
+        mask = _MASK
         active = self._active
         live = active.live
         update = active.update
@@ -662,23 +662,23 @@ class FlatEngine(Engine):
         port_mask = PORT_MASK
         tick = self.tick
         while tick < max_ticks:
+            # the next pending wheel tick: every pending slot holds a tick
+            # in (tick, tick + 15], so a scan of the window finds it
+            nxt = None
+            for ahead in range(tick + 1, tick + 1 + mask):
+                if slots[ahead & mask].nodes:
+                    nxt = ahead
+                    break
             if until is not None:
                 if until():
                     return True
-            elif (
-                idle_from is not None
-                and tick >= idle_from
-                and not live
-                and not buckets
-            ):
-                return True
-            # the next event tick: the earliest of the next wheel bucket,
-            # the next (possibly stale) outbox due tick and the next wire op
-            while ticks and ticks[0] not in buckets:
-                ticks.pop(0)
-            nxt = op_tick
-            if ticks and (nxt is None or ticks[0] < nxt):
-                nxt = ticks[0]
+            elif idle_from is not None and tick >= idle_from:
+                if nxt is None and not live:
+                    return True
+            # the next event tick: the earliest of that, the next (possibly
+            # stale) outbox due tick and the next wire op
+            if op_tick is not None and (nxt is None or op_tick < nxt):
+                nxt = op_tick
             due = active._due  # rebound by heap compaction: read per tick
             if due and (nxt is None or due[0][0] < nxt):
                 nxt = due[0][0]
@@ -692,8 +692,10 @@ class FlatEngine(Engine):
                 tick = min(nxt, max_ticks) - 1
             self.tick = tick = tick + 1
 
-            bucket = buckets.pop(tick, None)
-            if bucket is not None:
+            # a pending slot at this tick holds this tick (the window rule)
+            bucket = slots[tick & mask]
+            nodes = bucket.nodes
+            if nodes:
                 n_codes = len(emitted)
                 tracer = self.tracer
                 lanes = bucket.lanes
@@ -701,7 +703,7 @@ class FlatEngine(Engine):
                 # delivery decoded and recorded, so its presence sends whole
                 # ticks down the object path
                 chandlers = live_chandlers if tracer is None else None
-                for node in bucket.nodes:
+                for node in nodes:
                     lane = lanes[node]
                     proc = processors[node]
                     # one plain integer sort recovers (priority, in-port, FIFO)
@@ -797,11 +799,10 @@ class FlatEngine(Engine):
                         drain(node)
                     else:
                         update(node, next_due)
-            if bucket is not None:
-                # fused outbox sweep + bucket recycle: one walk over the
+            if nodes:
+                # fused outbox sweep + bucket clear: one walk over the
                 # delivered nodes checks for queued output and empties the
-                # lane (drains schedule at tick+1, never into this bucket)
-                nodes = bucket.nodes
+                # lane (drains schedule at tick+1, never into this slot)
                 for node in nodes:
                     proc = processors[node]
                     if proc._outbox:
@@ -812,7 +813,6 @@ class FlatEngine(Engine):
                             update(node, next_due)
                     del lanes[node][:]
                 nodes.clear()
-                ring.append(bucket)
 
             if op_tick is not None and op_tick <= tick:
                 self._apply_due_mutations()
@@ -848,14 +848,16 @@ class FlatEngine(Engine):
         character once — interning a stray and growing the per-code tables
         — and hand its code to ``csend`` / ``cbroadcast``.  Both decline
         (return False) while a tracer is attached, because tracers expect
-        emission records at drain time.
+        emission records at drain time, and for an arrival past the
+        wheel's window (a send with a long ``extra_delay``): the character
+        then rests in the outbox and leaves by the oracle's rules.
         """
         id_base = self._id_base
         encode_base = self._wheel.encode_base
         emitted = self._emitted_by_code  # extended in place, never rebound
 
         def sink(out_port: int, char: Char, arrival: int) -> bool:
-            if self.tracer is not None:
+            if self.tracer is not None or arrival > self.tick + _MASK:
                 return False
             base = id_base.get(id(char))
             if base is None:
@@ -866,7 +868,7 @@ class FlatEngine(Engine):
             return True
 
         def sink_many(char: Char, arrival: int) -> bool:
-            if self.tracer is not None:
+            if self.tracer is not None or arrival > self.tick + _MASK:
                 return False
             base = id_base.get(id(char))
             if base is None:
@@ -886,21 +888,22 @@ class FlatEngine(Engine):
         (:meth:`~repro.sim.processor.Processor.code_handler_table`) and by
         the object sink adapters (:meth:`_make_object_sinks`).  No intern
         lookup and no decline protocol: the callers have encoded the
-        character and checked for a tracer, so each body is the wire
-        resolve, the emission count, and the packed append.  ``csend``
-        raises :class:`~repro.errors.SimulationError` on an unconnected
-        slot.  A broadcast always goes through every connected out-port
-        (the §2.3.2 flood shape), so ``all_wires`` is resolved once at build
-        time; the dynamic engine parks a node's send-time paths whenever
-        its out-wiring degrades, so the list never goes stale while in use.
+        character and checked for a tracer and the wheel's window, so each
+        body is the wire resolve, the emission count, and the packed
+        append.  ``csend`` raises :class:`~repro.errors.SimulationError` on
+        an unconnected slot.  A broadcast always goes through every
+        connected out-port (the §2.3.2 flood shape), so ``all_wires`` is
+        resolved once at build time; the dynamic engine parks a node's
+        send-time paths whenever its out-wiring degrades, so the list never
+        goes stale while in use.
         """
         topo = self._topo
         slot_base = node * topo.stride
         wire_dst = topo.wire_dst
         in_shift = self._in_shift
         n_ports = len(all_wires)
-        buckets = self._wheel._buckets
-        open_bucket = self._wheel.open_bucket
+        slots = self._wheel.slots  # cleared in place, never rebound
+        claim = self._wheel.claim
         emitted = self._emitted_by_code  # extended in place, never rebound
         code_base = self._kernel.code_base
         horizon = self._horizon  # reset in place, never rebound
@@ -916,9 +919,9 @@ class FlatEngine(Engine):
             emitted[code] += 1
             if arrival > horizon[node]:
                 horizon[node] = arrival
-            bucket = buckets.get(arrival)
-            if bucket is None:
-                bucket = open_bucket(arrival)
+            bucket = slots[arrival & _MASK]
+            if bucket.tick != arrival:
+                bucket = claim(arrival, self.tick)
             lanes = bucket.lanes
             lane = lanes.get(dst)
             if lane is None:
@@ -932,9 +935,9 @@ class FlatEngine(Engine):
             emitted[code] += n_ports
             if arrival > horizon[node]:
                 horizon[node] = arrival
-            bucket = buckets.get(arrival)
-            if bucket is None:
-                bucket = open_bucket(arrival)
+            bucket = slots[arrival & _MASK]
+            if bucket.tick != arrival:
+                bucket = claim(arrival, self.tick)
             lanes = bucket.lanes
             nodes = bucket.nodes
             base = code_base[code]
@@ -956,7 +959,7 @@ class FlatEngine(Engine):
         departure tick; a KILL arriving now may erase it.  The direct sink
         has already filed those characters into future wheel buckets, so
         the purge withdraws the matching entries on the node's
-        ``out_wires`` from every future bucket
+        ``out_wires`` from the buckets up to its send horizon
         (:meth:`PackedEventWheel.withdraw`; the arrival in-port identifies
         the wire, hence the sender).  Emission counters are
         rolled back so traffic metrics match the object backend, which
@@ -978,6 +981,7 @@ class FlatEngine(Engine):
             # match growing-snake kinds, so everything else skips the call
             removed = withdraw(
                 self.tick,
+                horizon[node],
                 out_wires,
                 lambda code: growing_code[code] and predicate(chars[code]),
             )
@@ -1010,16 +1014,15 @@ class FlatEngine(Engine):
             tracer = self.tracer
             is_root = node == self.root
             next_tick = tick + 1
-            bucket = wheel._buckets.get(next_tick)
-            if bucket is None:
-                bucket = wheel.open_bucket(next_tick)
+            bucket = wheel.slots[next_tick & _MASK]
+            if bucket.tick != next_tick:
+                bucket = wheel.claim(next_tick, tick)
             lanes = bucket.lanes
-            touched = bucket.nodes
             # per-entry lookups hoisted out of the loop: bound methods for
             # the two dict/list hits every entry makes, the packed-field
             # constants, and the root's transcript recorder
             lanes_get = lanes.get
-            touched_append = touched.append
+            touched_append = bucket.nodes.append
             id_base_get = id_base.get
             code_mask = CODE_MASK
             seq_shift = SEQ_SHIFT
@@ -1056,10 +1059,4 @@ class FlatEngine(Engine):
                 elif not lane:
                     touched_append(dst)
                 lane.append(base | in_shift[slot] | (len(lane) << seq_shift))
-            if not touched:
-                # every entry was blocked (dynamic cut wires): an empty
-                # registered bucket would keep the engine "busy" one tick
-                # past the object backend — same cleanup as withdraw
-                del wheel._buckets[next_tick]
-                wheel.recycle(bucket)
         self._active.update(node, proc._next_due)

@@ -234,6 +234,8 @@ class ActiveSet:
         else:
             self.live.add(node)
             due = self._due
+            if due and due[0] == (next_due, node):
+                return  # already filed, and first out
             heappush(due, (next_due, node))
             if len(due) > self.COMPACT_MIN and len(due) > 2 * len(self.live):
                 self._compact()

@@ -21,9 +21,11 @@ from repro.sim.flatcore import (
     PORT_MASK,
     PORT_SHIFT,
     PRIO_SHIFT,
+    WHEEL_SLOTS,
     FlatEngine,
     PackedEventWheel,
 )
+from repro.sim.processor import Processor
 from repro.sim.run import ENGINE_BACKENDS, RunConfig, make_engine
 from repro.sim.scheduler import KIND_PRIORITY
 from repro.topology import generators
@@ -179,14 +181,26 @@ class TestPackedEventWheel:
         kinds = sorted(char.kind for _, char in wheel.in_flight())
         assert kinds == ["DFS", "KILL"]
 
-    def test_recycled_bucket_is_reused(self):
+    def test_schedule_past_the_window_raises(self):
         wheel = PackedEventWheel(CharKernel(2))
-        wheel.schedule(1, 0, 1, Char("DFS"))
-        bucket = wheel.pop(1)
-        wheel.recycle(bucket)
-        wheel.schedule(2, 5, 1, Char("BACK"))
-        assert wheel._buckets[2] is bucket  # same object, cleared
-        assert _kinds_of(wheel, wheel.pop(2), 5) == ["BACK"]
+        wheel.schedule(WHEEL_SLOTS - 1, 0, 1, Char("DFS"))  # the window's edge
+        with pytest.raises(SimulationError, match="outside the wheel window"):
+            wheel.schedule(WHEEL_SLOTS, 0, 1, Char("DFS"))
+        with pytest.raises(SimulationError, match="outside the wheel window"):
+            wheel.schedule(20, 0, 1, Char("DFS"), now=20)  # not after now
+        assert len(wheel) == 1
+
+    def test_schedule_into_a_pending_slot_raises(self):
+        wheel = PackedEventWheel(CharKernel(2))
+        wheel.schedule(3, 0, 1, Char("DFS"))
+        # tick 3 + WHEEL_SLOTS shares the slot, and lies inside the window
+        # seen from tick 5: the ring must not wrap onto tick 3's entries
+        with pytest.raises(SimulationError, match="still holds tick 3"):
+            wheel.schedule(3 + WHEEL_SLOTS, 1, 1, Char("DFS"), now=5)
+        assert wheel.next_tick() == 3 and len(wheel) == 1
+        wheel.pop(3)
+        wheel.schedule(3 + WHEEL_SLOTS, 1, 1, Char("DFS"), now=5)
+        assert wheel.next_tick() == 3 + WHEEL_SLOTS
 
 
 # ----------------------------------------------------------------------
@@ -292,6 +306,46 @@ class TestFlatEngine:
         assert dict(again.delivered) == first
 
 
+class _FarRelay(Processor):
+    """Relays what it receives ``delay`` ticks late, three times at most."""
+
+    PURGES_ONLY_GROWING = True  # so the flat engine installs the sinks
+
+    def __init__(self, delay: int = 0) -> None:
+        super().__init__()
+        self.delay = delay
+        self.log: list[tuple[int, int, Char]] = []
+
+    def on_start(self) -> None:
+        self.send(1, Char("BACK"), extra_delay=self.delay)
+
+    def handle(self, in_port: int, char: Char) -> None:
+        self.log.append((self.tick, in_port, char))
+        if len(self.log) <= 3:
+            self.send(1, char, extra_delay=self.delay)
+            self.broadcast(char, extra_delay=self.delay)
+
+    def state_snapshot(self) -> dict:
+        return {"seen": len(self.log)}
+
+
+@pytest.mark.parametrize("delay", [20, 100])
+def test_arrivals_past_the_wheel_window_rest_in_the_outbox(delay):
+    """A send landing past the ring's window declines the sink and rests
+    in the sender's outbox, so both backends deliver at the same ticks."""
+    graph = generators.directed_ring(3)
+    runs = []
+    for cls in (Engine, FlatEngine):
+        procs = [_FarRelay(delay) for _ in graph.nodes()]
+        engine = cls(graph, list(procs), root=0)
+        assert cls is Engine or procs[1]._direct_sink is not None
+        engine.start()
+        ticks = engine.run_to_idle(max_ticks=10_000)
+        runs.append((ticks, [proc.log for proc in procs]))
+    assert runs[0] == runs[1]
+    assert runs[1][0] > 3 * delay
+
+
 # ----------------------------------------------------------------------
 # the send horizon: KILL purges skip senders with nothing in flight
 # ----------------------------------------------------------------------
@@ -304,8 +358,8 @@ def _count_withdraws(monkeypatch) -> list[tuple[int, int]]:
     calls: list[tuple[int, int]] = []
     original = PackedEventWheel.withdraw
 
-    def withdraw(wheel, after, wires, match=None):
-        removed = original(wheel, after, wires, match)
+    def withdraw(wheel, after, until, wires, match=None):
+        removed = original(wheel, after, until, wires, match)
         calls.append((after, len(removed)))
         return removed
 

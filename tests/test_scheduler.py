@@ -150,6 +150,16 @@ class TestActiveSet:
         assert active.take_due(5) == {1}
         assert active.next_due() is None
 
+    def test_repeated_update_files_one_entry(self):
+        active = ActiveSet()
+        for _ in range(3):
+            active.update(4, 9)
+        assert active._due == [(9, 4)]
+        assert active.take_due(9) == {4}
+        # popped: the next update files it again
+        active.update(4, 9)
+        assert active._due == [(9, 4)]
+
     def test_heap_compacts_when_stale_entries_dominate(self):
         """Long runs must not grow the due-heap unboundedly (satellite)."""
         active = ActiveSet()

@@ -26,7 +26,7 @@ from repro.dynamics import (
 from repro.dynamics.engine import validate_wire_ops
 from repro.errors import ReproError, TopologyError
 from repro.protocol.gtd import GTDProcessor
-from repro.sim.flatcore import PORT_MASK, PORT_SHIFT
+from repro.sim.flatcore import PORT_MASK, PORT_SHIFT, WHEEL_SLOTS
 from repro.topology.faults import WireState, shutdown_out_ports
 from repro.topology.portgraph import PortGraph, Wire
 from repro.topology.properties import is_strongly_connected
@@ -282,8 +282,8 @@ class TestCutRehome:
         engine.start()
         while engine.tick < 100:
             engine.step_tick()
-            for arrival, bucket in engine._wheel._buckets.items():
-                if arrival < engine.tick + 3:
+            for bucket in engine._wheel.slots:
+                if bucket.tick < engine.tick + 3:
                     continue
                 for dst in bucket.nodes:
                     for packed in bucket.lanes[dst]:
@@ -320,8 +320,8 @@ class TestCutRehome:
                     engine.step_tick()
                 lost = engine.lost_characters
                 engine.step_tick()
-                bucket = engine._wheel._buckets.get(due + 1)
-                refiled = bucket is not None and any(
+                bucket = engine._wheel.slots[(due + 1) % WHEEL_SLOTS]
+                refiled = bucket.tick == due + 1 and any(
                     (packed >> PORT_SHIFT) & PORT_MASK == wire.in_port
                     for packed in bucket.lanes.get(wire.dst, ())
                 )
