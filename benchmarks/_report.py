@@ -44,6 +44,17 @@ def report(experiment: str, text: str) -> None:
         fh.write(text + "\n\n")
 
 
+def timed_mean(benchmark) -> float | None:
+    """The benchmark's mean seconds per round, or None when untimed.
+
+    Under ``--benchmark-disable`` each bench body runs once without
+    timing and ``benchmark.stats`` is None: its parity asserts still run,
+    but it has no rate to record, so it writes no snapshot.
+    """
+    stats = benchmark.stats
+    return None if stats is None else stats.stats.mean
+
+
 def bench_metric(
     experiment: str,
     name: str,

@@ -40,7 +40,7 @@ from repro.store.artifacts import (
 )
 from repro.topology.compile import compile_calls
 
-from _report import bench_metric, report
+from _report import bench_metric, report, timed_mean
 
 #: case -> (families, sizes).  ``full`` is the whole family registry — the
 #: "full campaign matrix" axis a real sweep would prewarm.
@@ -56,9 +56,10 @@ SPEEDUP_FLOOR = 2.0
 #: The small CI case's tripwire floor (same-host ratio, machine-relative).
 SMALL_SPEEDUP_FLOOR = 1.5
 
-#: case -> state -> (first_hop_tick, mean_seconds); filled as each state
-#: finishes so the second one can assert parity and the speedup floor.
-_RUNS: dict[str, dict[str, tuple[int, float]]] = {}
+#: case -> state -> (first_hop_tick, mean_seconds or None when untimed);
+#: filled as each state finishes so the second one can assert parity and
+#: the speedup floor.
+_RUNS: dict[str, dict[str, tuple[int, float | None]]] = {}
 
 
 def _graphs(case: str):
@@ -118,22 +119,23 @@ def _run_case(benchmark, case: str, state: str, tmp_path, rounds: int) -> None:
     configure_artifact_library(None)
     clear_scenario_caches()
 
-    mean = benchmark.stats.stats.mean
-    benchmark.extra_info["distinct_artifacts"] = distinct
-    benchmark.extra_info["first_hop_tick"] = tick
-    bench_metric(
-        "artifacts",
-        f"{case}_{state}_start_ms",
-        mean * 1e3,
-        direction="lower",
-        unit="ms",
-        meta={f"{case}_artifacts": distinct},
-    )
-    report(
-        "bench_artifacts",
-        f"ARTIFACTS [{state}] {case}: {distinct} artifacts to first hop in "
-        f"{mean * 1e3:.2f} ms",
-    )
+    mean = timed_mean(benchmark)
+    if mean is not None:
+        benchmark.extra_info["distinct_artifacts"] = distinct
+        benchmark.extra_info["first_hop_tick"] = tick
+        bench_metric(
+            "artifacts",
+            f"{case}_{state}_start_ms",
+            mean * 1e3,
+            direction="lower",
+            unit="ms",
+            meta={f"{case}_artifacts": distinct},
+        )
+        report(
+            "bench_artifacts",
+            f"ARTIFACTS [{state}] {case}: {distinct} artifacts to first hop in "
+            f"{mean * 1e3:.2f} ms",
+        )
 
     seen = _RUNS.setdefault(case, {})
     seen[state] = (tick, mean)
@@ -144,6 +146,8 @@ def _run_case(benchmark, case: str, state: str, tmp_path, rounds: int) -> None:
         assert warm_tick == cold_tick, (
             f"first hop landed on tick {warm_tick} warm vs {cold_tick} cold"
         )
+        if cold_mean is None or warm_mean is None:
+            return  # untimed run: parity only
         speedup = cold_mean / warm_mean
         bench_metric(
             "artifacts",

@@ -43,7 +43,7 @@ from repro.campaigns.executor import (
 )
 from repro.campaigns.spec import CampaignSpec
 
-from _report import bench_metric, report
+from _report import bench_metric, report, timed_mean
 
 #: The mixed matrix: healthy + shutdown statics, legacy cut/add dynamics,
 #: and timeline programs (storms, churn, frontier waves, cut+heal
@@ -81,9 +81,9 @@ SPEEDUP_FLOOR = 2.0
 #: drop below this means the cache layer itself regressed.
 SMALL_SPEEDUP_FLOOR = 1.5
 
-#: case -> path -> (scenarios, mean_seconds); used to assert parity and
-#: compute the speedup once both paths of a case have run.
-_RUNS: dict[str, dict[str, tuple[list, float]]] = {}
+#: case -> path -> (scenarios, mean_seconds or None when untimed); used to
+#: assert parity and compute the speedup once both paths of a case have run.
+_RUNS: dict[str, dict[str, tuple[list, float | None]]] = {}
 
 
 def _scenarios(case: str):
@@ -97,10 +97,9 @@ def _scenarios(case: str):
     ).scenarios()
 
 
-def _finish(case: str, path: str, results, mean: float, benchmark) -> None:
+def _record_side(case: str, path: str, results, mean: float, benchmark) -> None:
     count = len(results)
     rate = count / mean
-    _RUNS.setdefault(case, {})[path] = (results, mean)
     benchmark.extra_info["scenarios"] = count
     benchmark.extra_info["scenarios_per_second"] = round(rate, 2)
     metric = (
@@ -117,6 +116,13 @@ def _finish(case: str, path: str, results, mean: float, benchmark) -> None:
         f"CAMP [{path}] {case}: {count} cells in {mean:.2f} s "
         f"({rate:.1f} scenarios/s), outcomes {outcomes}",
     )
+
+
+def _finish(case: str, path: str, results, benchmark) -> None:
+    mean = timed_mean(benchmark)
+    _RUNS.setdefault(case, {})[path] = (results, mean)
+    if mean is not None:
+        _record_side(case, path, results, mean, benchmark)
     seen = _RUNS[case]
     if len(seen) == 2:
         fresh_results, fresh_mean = seen["fresh"]
@@ -126,6 +132,8 @@ def _finish(case: str, path: str, results, mean: float, benchmark) -> None:
             f"cached and fresh executors disagree on {case}: "
             f"{[i for i, (a, b) in enumerate(zip(cached_results, fresh_results)) if a != b]}"
         )
+        if fresh_mean is None or cached_mean is None:
+            return  # untimed run: parity only
         speedup = fresh_mean / cached_mean
         setup_share = 1.0 - cached_mean / fresh_mean
         bench_metric(
@@ -163,7 +171,7 @@ def _run_fresh(benchmark, case: str, rounds: int) -> None:
         return results
 
     results = benchmark.pedantic(run, rounds=rounds, iterations=1)
-    _finish(case, "fresh", results, benchmark.stats.stats.mean, benchmark)
+    _finish(case, "fresh", results, benchmark)
 
 
 def _run_cached(benchmark, case: str, rounds: int) -> None:
@@ -178,7 +186,7 @@ def _run_cached(benchmark, case: str, rounds: int) -> None:
 
     results = benchmark.pedantic(run, rounds=rounds, iterations=1)
     benchmark.extra_info["warmup_seconds"] = round(warmup, 3)
-    _finish(case, "cached", results, benchmark.stats.stats.mean, benchmark)
+    _finish(case, "cached", results, benchmark)
 
 
 def test_camp_small_fresh_throughput(benchmark):

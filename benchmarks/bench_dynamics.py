@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.campaigns.spec import build_family
 from repro.dynamics import compile_timeline, run_dynamic_gtd
 
-from _report import bench_metric, report
+from _report import bench_metric, report, timed_mean
 
 #: The E-style dynamic workload: periodic churn with strong healing, which
 #: keeps the network chattering (floods, RCAs, re-probes) across every
@@ -44,9 +44,10 @@ CASES = {
 #: with headroom for slower hosts.
 SPEEDUP_FLOOR = 1.5
 
-#: case -> (backend -> (hops, mean_seconds)); filled as tests run, used to
-#: cross-check hop parity and compute the speedup once both backends ran.
-_RUNS: dict[str, dict[str, tuple[int, float]]] = {}
+#: case -> (backend -> (hops, mean_seconds or None when untimed)); filled
+#: as tests run, used to cross-check hop parity and compute the speedup
+#: once both backends ran.
+_RUNS: dict[str, dict[str, tuple[int, float | None]]] = {}
 
 
 def _case(case: str, seed: int = 0):
@@ -77,30 +78,36 @@ def _run_dynamic(benchmark, *, case, backend, rounds):
     )
     assert result.applied_ops == len(program.ops)
     hops = result.hops
-    mean = benchmark.stats.stats.mean
-    rate = hops / mean
+    mean = timed_mean(benchmark)
     _RUNS.setdefault(case, {})[backend] = (hops, mean)
-    benchmark.extra_info["character_hops"] = hops
-    benchmark.extra_info["hops_per_second"] = int(rate)
-    bench_metric(
-        "dyn",
-        f"{case}_{backend}_hops_per_second",
-        rate,
-        unit="hops/s",
-        meta={f"{case}_character_hops": hops, f"{case}_outcome": result.outcome.value},
-    )
-    report(
-        "bench_dynamics",
-        f"DYN [{backend}] {case} spare-ring({size}) under "
-        f"'{TIMELINE}': {hops} character-hops, "
-        f"{len(program.ops)} wire ops, {rate:,.0f} hops/s wall-clock "
-        f"(mean {mean * 1e3:.1f} ms/run)",
-    )
+    if mean is not None:
+        rate = hops / mean
+        benchmark.extra_info["character_hops"] = hops
+        benchmark.extra_info["hops_per_second"] = int(rate)
+        bench_metric(
+            "dyn",
+            f"{case}_{backend}_hops_per_second",
+            rate,
+            unit="hops/s",
+            meta={
+                f"{case}_character_hops": hops,
+                f"{case}_outcome": result.outcome.value,
+            },
+        )
+        report(
+            "bench_dynamics",
+            f"DYN [{backend}] {case} spare-ring({size}) under "
+            f"'{TIMELINE}': {hops} character-hops, "
+            f"{len(program.ops)} wire ops, {rate:,.0f} hops/s wall-clock "
+            f"(mean {mean * 1e3:.1f} ms/run)",
+        )
     seen = _RUNS[case]
     if len(seen) == 2:
         assert seen["object"][0] == seen["flat"][0], (
             f"backend hop-count divergence on {case}: {seen}"
         )
+        if seen["object"][1] is None or seen["flat"][1] is None:
+            return  # untimed run: parity only
         speedup = seen["object"][1] / seen["flat"][1]
         report(
             "bench_dynamics",

@@ -114,13 +114,6 @@ class Engine:
             default because the master computer needs it).
     """
 
-    #: Whether construction precomputes the per-processor kind-dispatch
-    #: tables.  This engine's own delivery loop indexes them every tick, so
-    #: they are built eagerly here; a backend whose hot loop dispatches on
-    #: character codes instead (the flat core) sets this False and resolves
-    #: handler tables per node on first fallback delivery.
-    EAGER_DISPATCH = True
-
     def __init__(
         self,
         graph: PortGraph,
@@ -164,7 +157,9 @@ class Engine:
                     pipe=(self._root_pipe if node == root else _discard_pipe),
                 )
             )
-        self._dispatch = build_dispatch_tables(processors) if self.EAGER_DISPATCH else None
+        #: per-processor kind-dispatch tables: this engine's delivery loop
+        #: indexes them every tick, and the flat core's fallback reads them
+        self._dispatch = build_dispatch_tables(processors)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:

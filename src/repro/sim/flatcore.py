@@ -32,13 +32,13 @@ on dense integer tables instead of Python object graphs:
   so one plain integer sort of a node's lane recovers the deterministic
   in-tick handling order (priority, then in-port, then FIFO) — the exact
   order the object wheel's tuple sort produces;
-* per-kind traffic counters and per-node handler dispatch become
-  code-indexed flat lists, flushed back into the shared
-  :class:`~repro.sim.metrics.TrafficMetrics` shape on read;
+* per-kind traffic counters become code-indexed flat lists, flushed
+  back into the shared :class:`~repro.sim.metrics.TrafficMetrics` shape
+  on read;
 * every non-root processor that purges only growing characters schedules
   its sends at send time through one pair of per-node code sinks,
   ``csend`` / ``cbroadcast`` (wire resolve, emission count, packed
-  append).  Code handlers call them directly; the object-path
+  append).  Code handlers call them directly; the object
   ``send`` / ``broadcast`` reach them through thin adapters that encode
   the :class:`~repro.sim.characters.Char` once.  Taking entries back out
   — a KILL purging characters that would still rest in their sender, or
@@ -50,8 +50,11 @@ on dense integer tables instead of Python object graphs:
 * one stepping body, :meth:`FlatEngine._burst`, runs a whole stretch of
   busy ticks in one frame: :meth:`~repro.sim.engine.Engine.run` and
   :meth:`~repro.sim.engine.Engine.run_to_idle` call it, and ``step_tick``
-  is a one-tick burst.  A drain runs only when a node has an outbox
-  entry due.
+  is a one-tick burst.  Its one delivery loop hands each entry to the
+  node's code handler for that code; an entry without one takes the
+  loop's fallback branch, which records the root's receipt and the
+  tracer's delivery and dispatches through the object engine's per-kind
+  tables.  A drain runs only when a node has an outbox entry due.
 
 Delivery timing, fast-forward, outbox residence and KILL purge semantics
 are the base engine's, tick for tick — this module replaces only the data
@@ -357,8 +360,10 @@ class FlatEngine(Engine):
     :func:`repro.sim.characters.kernel_for`) — both artifacts are pure
     functions of (wiring, delta), so every engine over the same network
     shares one copy instead of re-lowering them — swaps the event wheel
-    for :class:`PackedEventWheel`, and lowers each processor's per-kind
-    handler table into a code-indexed list.  The run surface (``run``,
+    for :class:`PackedEventWheel`, and asks each non-root processor for
+    its code-indexed handler list, keeping the per-kind tables
+    :class:`~repro.sim.engine.Engine` builds as the delivery loop's
+    fallback.  The run surface (``run``,
     ``run_to_idle``), wake and invariant hooks are inherited from
     :class:`~repro.sim.engine.Engine` unchanged; the stepping body beneath
     them (:meth:`_burst`) is this class's own.
@@ -369,10 +374,6 @@ class FlatEngine(Engine):
     #: :meth:`~repro.topology.compile.CompiledTopology.fork` so the shared
     #: cached artifact stays pristine for every other engine.
     MUTATES_TOPOLOGY = False
-
-    #: the flat hot loop dispatches on character codes; the per-kind object
-    #: tables are resolved per node on first fallback use (see Engine)
-    EAGER_DISPATCH = False
 
     #: the wire-op program and its cursor, read by the stepping body; the
     #: dynamic subclass loads a program per run, a static engine has none
@@ -403,11 +404,6 @@ class FlatEngine(Engine):
         self._id_base = kernel.id_base
         self._chars = kernel.chars
         self._emitted_by_code: list[int] = []
-        # node -> code-indexed handler list (None = fall back to .handle),
-        # resolved lazily on a node's first object-path delivery: with code
-        # dispatch in front, most nodes never need one.
-        self._code_handlers: list[list | None] = [None] * len(processors)
-        self._kind_tables: list[dict | None] = [None] * len(processors)
         self._grow_code_tables()
         # Per-slot precomputed (in_port << PORT_SHIFT) — ready-made ints, so
         # the hot loops do one list indexing instead of a shift per entry.
@@ -426,13 +422,17 @@ class FlatEngine(Engine):
         #: send horizon): a KILL purge at or past it has nothing to
         #: withdraw.  Updated in place — the closures hold the list.
         self._horizon: list[int] = [0] * len(processors)
-        #: node -> code-indexed list of code-space handlers, or None (object
-        #: path).  Every send-time node gets the code sinks; the object
-        #: sinks are thin adapters onto them.  The code loop inlines
-        #: ``begin_tick`` as a plain attribute store, so an override of it
-        #: keeps a processor off the code handlers (not off the sinks).
+        #: node -> code-indexed list of code-space handlers, or None (every
+        #: delivery takes the fallback).  Every send-time node gets the code
+        #: sinks; the object sinks are thin adapters onto them.  The
+        #: delivery loop inlines ``begin_tick`` as a plain attribute store
+        #: for a node with a table, so an override of it keeps a processor
+        #: off the code handlers (not off the sinks).
         base_begin = Processor.begin_tick
         self._chandlers_all: list[list | None] = [None] * len(processors)
+        #: the table a node without one delivers through: no code handler,
+        #: so every kernel code reaches the fallback
+        self._no_codes: list[None] = [None] * kernel.n_codes
         for node, proc in enumerate(processors):
             if node == root or not proc.PURGES_ONLY_GROWING:
                 continue
@@ -570,44 +570,16 @@ class FlatEngine(Engine):
     # lazy growth when a character outside the constant alphabet appears
     # ------------------------------------------------------------------
     def _grow_code_tables(self) -> None:
-        total = len(self._chars)
-        grow = total - len(self._emitted_by_code)
+        grow = len(self._chars) - len(self._emitted_by_code)
         if grow > 0:
             self._emitted_by_code.extend([0] * grow)
-        for node, code_table in enumerate(self._code_handlers):
-            if code_table is None:
-                continue  # not resolved yet; built to full size on demand
-            missing = total - len(code_table)
-            if missing > 0:
-                table = self._kind_tables[node]
-                code_table.extend(
-                    table.get(char.kind) for char in self._chars[-missing:]
-                )
-
-    def _node_code_table(self, node: int) -> list:
-        """Resolve (and cache) ``node``'s code-indexed object-handler list.
-
-        Lazily replaces the eager per-node tables the engine used to build
-        up front: with code dispatch in front of the object path, only the
-        root and nodes that actually take a fallback delivery ever pay for
-        one.
-        """
-        kind_table = self._kind_tables[node]
-        if kind_table is None:
-            kind_table = self._kind_tables[node] = self.processors[
-                node
-            ].handler_table()
-        code_table = self._code_handlers[node] = [
-            kind_table.get(char.kind) for char in self._chars
-        ]
-        return code_table
 
     def _fill_stray(self, code: int, in_port: int) -> Char:
         """The character stray ``code`` delivers as through ``in_port``.
 
         The kernel fills a stray by the engine's rule and may intern the
-        filled variant on first sight; the per-code tables then grow to
-        cover it before a handler can re-emit it.
+        filled variant on first sight; the per-code emission counters then
+        grow to cover it before a handler can re-emit it.
         """
         code = self._kernel.fill(code, in_port)
         if code >= len(self._emitted_by_code):
@@ -638,7 +610,7 @@ class FlatEngine(Engine):
         so predicates on any processor's state see every change.
         """
         processors = self.processors
-        code_handlers = self._code_handlers
+        dispatch = self._dispatch
         chars = self._chars
         emitted = self._emitted_by_code
         root = self.root
@@ -646,6 +618,7 @@ class FlatEngine(Engine):
         live_chandlers = self._chandlers
         kfill = self._kernel.fill_rows
         kn = self._kernel.n_codes
+        no_codes = self._no_codes
         slots = self._wheel.slots
         mask = _MASK
         active = self._active
@@ -699,9 +672,8 @@ class FlatEngine(Engine):
                 n_codes = len(emitted)
                 tracer = self.tracer
                 lanes = bucket.lanes
-                # the code-space kernel: per-tick gate — a tracer needs every
-                # delivery decoded and recorded, so its presence sends whole
-                # ticks down the object path
+                # a tracer needs every delivery decoded and recorded, so its
+                # presence sends whole ticks down the fallback
                 chandlers = live_chandlers if tracer is None else None
                 for node in nodes:
                     lane = lanes[node]
@@ -709,75 +681,47 @@ class FlatEngine(Engine):
                     # one plain integer sort recovers (priority, in-port, FIFO)
                     entries = sorted(lane) if len(lane) > 1 else lane
                     ctable = chandlers[node] if chandlers is not None else None
-                    if ctable is not None:
-                        # code-space delivery: fill is one indexed load, the
-                        # handler dispatches on the small-int code, and only
-                        # codes outside the kernel (lazily interned strays)
-                        # or without a code handler decode a Char.
-                        # begin_tick inlined (table install requires the
-                        # base implementation); object-path bindings
-                        # resolve lazily.
+                    if ctable is None:
+                        # the root, a traced tick, a parked node or a
+                        # processor without code handlers: every delivery
+                        # takes the fallback below
+                        ctable = no_codes
+                        proc.begin_tick(tick)
+                    else:
+                        # begin_tick inlined (a code table requires the base
+                        # implementation)
                         proc._tick = tick
-                        handlers = fallback = None
-                        for packed in entries:
-                            code = packed & code_mask
-                            in_port = (packed >> port_shift) & port_mask
-                            if code < kn:
-                                code = kfill[code][in_port]
-                                h = ctable[code]
-                                if h is not None:
-                                    h(in_port, code)
-                                    continue
-                                char = chars[code]
-                            else:
-                                if code >= n_codes:
-                                    self._grow_code_tables()
-                                    n_codes = len(emitted)
-                                    handlers = None
-                                char = self._fill_stray(code, in_port)
-                            if handlers is None:
-                                handlers = (
-                                    code_handlers[node]
-                                    or self._node_code_table(node)
-                                )
-                                fallback = proc.handle
-                            handler = handlers[code]
-                            if handler is None:
-                                fallback(in_port, char)
-                            else:
-                                handler(in_port, char)
-                        continue
-                    # the object path (the parity oracle's semantics): the
-                    # root, traced ticks, parked nodes and handler-less
-                    # processors
-                    proc.begin_tick(tick)
-                    handlers = code_handlers[node]
-                    if handlers is None:
-                        handlers = self._node_code_table(node)
-                    fallback = proc.handle
-                    is_root = node == root
+                    kinds = None
                     for packed in entries:
-                        code = packed & code_mask
-                        if code >= n_codes:
-                            # a code scheduled through the generic wheel API
-                            # without passing the engine's intern path
-                            self._grow_code_tables()
-                            handlers = code_handlers[node]
-                            n_codes = len(emitted)
+                        raw = packed & code_mask
                         in_port = (packed >> port_shift) & port_mask
-                        char = chars[code]
-                        if is_root:
-                            record_recv(tick, in_port, char)
-                        if tracer is not None:
-                            tracer.record_delivery(tick, node, in_port, char)
-                        # §2.3.2 STAR fill to the canonical instance, after
-                        # the root transcript has recorded the character as
-                        # sent
-                        if code < kn:
-                            char = chars[kfill[code][in_port]]
+                        if raw < kn:
+                            # code-space delivery: fill is one indexed load
+                            # and the handler dispatches on the small-int code
+                            code = kfill[raw][in_port]
+                            h = ctable[code]
+                            if h is not None:
+                                h(in_port, code)
+                                continue
+                            char = chars[code]
                         else:
-                            char = self._fill_stray(code, in_port)
-                        handler = handlers[code]
+                            if raw >= n_codes:
+                                # a code scheduled through the generic wheel
+                                # API without passing the engine's intern path
+                                self._grow_code_tables()
+                                n_codes = len(emitted)
+                            char = self._fill_stray(raw, in_port)
+                        # the fallback (the object oracle's semantics): the
+                        # root's transcript and the tracer see the character
+                        # as sent, before the §2.3.2 STAR fill
+                        if node == root:
+                            record_recv(tick, in_port, chars[raw])
+                        if tracer is not None:
+                            tracer.record_delivery(tick, node, in_port, chars[raw])
+                        if kinds is None:
+                            kinds = dispatch[node]
+                            fallback = proc.handle
+                        handler = kinds.get(char.kind)
                         if handler is None:
                             fallback(in_port, char)
                         else:
@@ -813,6 +757,8 @@ class FlatEngine(Engine):
                             update(node, next_due)
                     del lanes[node][:]
                 nodes.clear()
+                # the slot's next tick: a filing there skips the claim
+                bucket.tick = tick + WHEEL_SLOTS
 
             if op_tick is not None and op_tick <= tick:
                 self._apply_due_mutations()
@@ -845,7 +791,7 @@ class FlatEngine(Engine):
         characters.  ``sink(out_port, char, arrival)`` and ``sink_many(char,
         arrival)`` (every connected out-port, as
         :meth:`~repro.sim.processor.Processor.broadcast` sends) encode the
-        character once — interning a stray and growing the per-code tables
+        character once — interning a stray and growing the per-code counters
         — and hand its code to ``csend`` / ``cbroadcast``.  Both decline
         (return False) while a tracer is attached, because tracers expect
         emission records at drain time, and for an arrival past the

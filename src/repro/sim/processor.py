@@ -169,7 +169,8 @@ class Processor(ABC):
         its delivery queue.  The return value is a
         list indexed by character code whose entries are ``handler(in_port,
         code)`` callables or ``None`` (``None`` means: decode the character
-        and take the object path for that delivery).  Returning ``None``
+        and take the delivery loop's fallback, :meth:`handler_table` or
+        :meth:`handle`).  Returning ``None``
         instead of a table opts the whole processor out.  The base class
         publishes no table.
         """

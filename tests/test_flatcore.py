@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaigns.spec import build_family
+from repro.dynamics import DynamicEngine, FlatDynamicEngine, compile_timeline
 from repro.errors import SimulationError
 from repro.protocol.gtd import GTDProcessor
 from repro.protocol.rca import run_single_rca
+from repro.protocol.runner import determine_topology
 from repro.sim.characters import (
     Char,
     CharKernel,
@@ -372,11 +375,13 @@ def _finish(engine, *, start: bool) -> tuple:
     root = engine.processors[engine.root]
     ticks = engine.run(max_ticks=50_000, until=lambda: root.terminal, start=start)
     engine.run_to_idle(max_ticks=60_000)
+    metrics = engine.metrics
     return (
         ticks,
         engine.tick,
         list(engine.transcript.events()),
-        engine.metrics.snapshot(),
+        metrics.snapshot(),
+        dict(metrics.emitted),
     )
 
 
@@ -441,3 +446,105 @@ class TestSendHorizon:
         engine.reset()
         assert _finish(engine, start=True) == first
         assert calls == fresh
+
+
+# ----------------------------------------------------------------------
+# the delivery loop's fallback: every node without a code table
+# ----------------------------------------------------------------------
+def _all_fallback(cls):
+    """``cls`` with every code-handler table dropped (the kernel bench's
+    control engine): each delivery takes the fallback branch."""
+
+    class AllFallback(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._chandlers_all = [None] * len(self.processors)
+            self._chandlers[:] = self._chandlers_all
+
+    return AllFallback
+
+
+def _gtd_engine(cls, graph, *args, root: int = 0):
+    return cls(graph, [GTDProcessor() for _ in graph.nodes()], *args, root=root)
+
+
+class TestFallbackDelivery:
+    @pytest.mark.parametrize(
+        "family,size,seed,root",
+        [
+            ("de-bruijn", 8, 0, 0),
+            ("bidirectional-ring", 7, 0, 3),
+            ("hypercube", 8, 0, 0),
+            ("tree-with-loop", 7, 1, 0),
+            ("random", 10, 3, 2),
+        ],
+    )
+    def test_all_fallback_engine_matches_both_backends(self, family, size, seed, root):
+        graph = build_family(family, size, seed)
+        runs = [
+            _finish(_gtd_engine(cls, graph, root=root), start=True)
+            for cls in (Engine, FlatEngine, _all_fallback(FlatEngine))
+        ]
+        assert runs[2] == runs[0]
+        assert runs[1] == runs[0]
+
+    def test_all_fallback_dynamic_engine_matches_both_backends(self):
+        """Churn parks and restores nodes mid-run on the flat side."""
+        graph = build_family("spare-ring", 16, 0)
+        program = compile_timeline(
+            "churn:rate=0.08,period=0.2,heal=0.9,until=0.8", graph, seed=0
+        )
+        # a cut parks its (non-root) sender until the matching heal
+        assert {"cut", "heal"} <= {op.kind for op in program.ops}
+        assert any(op.kind == "cut" and op.wire.src != 0 for op in program.ops)
+        runs = []
+        for cls in (DynamicEngine, FlatDynamicEngine, _all_fallback(FlatDynamicEngine)):
+            engine = _gtd_engine(cls, graph, program)
+            runs.append((_finish(engine, start=True), engine.lost_characters))
+        assert runs[2] == runs[0]
+        assert runs[1] == runs[0]
+
+
+class _HookedGTD(GTDProcessor):
+    """A GTD processor that overrides ``begin_tick`` and counts the calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.begins = 0
+
+    def begin_tick(self, tick: int) -> None:
+        self.begins += 1
+        super().begin_tick(tick)
+
+
+def test_begin_tick_override_keeps_a_processor_off_code_tables():
+    graph = generators.de_bruijn(2, 3)
+    runs = []
+    for cls in (Engine, FlatEngine):
+        procs = [_HookedGTD() for _ in graph.nodes()]
+        engine = cls(graph, list(procs), root=0)
+        if cls is FlatEngine:
+            assert all(table is None for table in engine._chandlers_all)
+            assert procs[1]._direct_sink is not None  # sinks stay installed
+        runs.append((_finish(engine, start=True), [p.begins for p in procs]))
+    assert runs[0][1][1] > 0
+    assert runs[1] == runs[0]
+
+
+def test_delivered_slots_are_restamped_for_their_next_tick(monkeypatch):
+    """Clearing a delivered slot stamps it with its next tick, so a later
+    filing there needs no :meth:`PackedEventWheel.claim`."""
+    claims: list[int] = []
+    original = PackedEventWheel.claim
+
+    def claim(wheel, tick, now):
+        claims.append(tick)
+        return original(wheel, tick, now)
+
+    # patched before the engine is built: the code sinks bind ``claim``
+    monkeypatch.setattr(PackedEventWheel, "claim", claim)
+    graph = build_family("spare-ring", 16, 0)
+    result = determine_topology(graph, backend="flat")
+    assert result.matches(graph)
+    assert claims
+    assert len(claims) < result.drained_ticks / 4
