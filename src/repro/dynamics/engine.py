@@ -34,9 +34,9 @@ the data plane is backend-specific:
   compiled CSR tables in place** through a
   :class:`~repro.topology.compile.TopologyPatcher`: a cut stamps the
   :data:`~repro.topology.compile.CUT` sentinel into the wire slot, a heal
-  restores it, an add rewires it — so the packed-wheel fast path (fused
-  drains, send-time direct sinks) keeps running between mutations instead
-  of falling back to a per-character overlay.  Only the handful of nodes
+  restores it, an add rewires it — so the packed-wheel fast path (the
+  code sinks, at send time or at the drain) keeps running between
+  mutations instead of falling back to a per-character overlay.  Only the handful of nodes
   whose *own* out-wiring is currently degraded have their direct sinks
   parked (their characters must rest in the outbox so a cut is judged at
   departure time, exactly as the object backend does); everyone else stays

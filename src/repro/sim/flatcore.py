@@ -35,15 +35,19 @@ on dense integer tables instead of Python object graphs:
 * per-kind traffic counters become code-indexed flat lists, flushed
   back into the shared :class:`~repro.sim.metrics.TrafficMetrics` shape
   on read;
-* every non-root processor that purges only growing characters schedules
-  its sends at send time through one pair of per-node code sinks,
-  ``csend`` / ``cbroadcast`` (wire resolve, emission count, packed
-  append).  Code handlers call them directly; the object
-  ``send`` / ``broadcast`` reach them through thin adapters that encode
-  the :class:`~repro.sim.characters.Char` once.  Taking entries back out
-  — a KILL purging characters that would still rest in their sender, or
-  a cut pulling them back to the sender's outbox — is one wheel-level
-  lane filter, :meth:`PackedEventWheel.withdraw`.  Each sender keeps a
+* one pair of per-node code sinks, ``csend`` / ``cbroadcast`` (wire
+  resolve, emission count, packed append), is the only place the engine
+  files an entry into the wheel.  Every node has them.  A non-root
+  processor that purges only growing characters sends through them at
+  send time: code handlers call them directly, and the object ``send`` /
+  ``broadcast`` reach them through thin adapters.  Every other character
+  rests in its sender's outbox, and the drain files it through the
+  sender's ``csend`` at its departure tick.  One helper,
+  :meth:`FlatEngine._code_of`, encodes a
+  :class:`~repro.sim.characters.Char` for all of them.  Taking entries
+  back out — a KILL purging characters that would still rest in their
+  sender, or a cut pulling them back to the sender's outbox — is one
+  wheel-level lane filter, :meth:`PackedEventWheel.withdraw`.  Each sender keeps a
   send horizon (the latest arrival tick it has filed): a KILL at a
   sender with nothing in flight skips the search, and a search scans
   only the slots up to the horizon;
@@ -360,7 +364,8 @@ class FlatEngine(Engine):
     :func:`repro.sim.characters.kernel_for`) — both artifacts are pure
     functions of (wiring, delta), so every engine over the same network
     shares one copy instead of re-lowering them — swaps the event wheel
-    for :class:`PackedEventWheel`, and asks each non-root processor for
+    for :class:`PackedEventWheel`, builds every node's code sinks, and
+    asks each non-root processor that purges only growing characters for
     its code-indexed handler list, keeping the per-kind tables
     :class:`~repro.sim.engine.Engine` builds as the delivery loop's
     fallback.  The run surface (``run``,
@@ -422,20 +427,22 @@ class FlatEngine(Engine):
         #: send horizon): a KILL purge at or past it has nothing to
         #: withdraw.  Updated in place — the closures hold the list.
         self._horizon: list[int] = [0] * len(processors)
+        #: node -> its ``csend``: every node has code sinks, and a drain
+        #: files each outbox entry through its sender's
+        self._csends: list[Callable[[int, int, int], None]] = []
         #: node -> code-indexed list of code-space handlers, or None (every
-        #: delivery takes the fallback).  Every send-time node gets the code
-        #: sinks; the object sinks are thin adapters onto them.  The
-        #: delivery loop inlines ``begin_tick`` as a plain attribute store
-        #: for a node with a table, so an override of it keeps a processor
-        #: off the code handlers (not off the sinks).
+        #: delivery takes the fallback).  Only a non-root node that purges
+        #: only growing characters also gets the object-sink adapters, the
+        #: purge hook and a code table.  The delivery loop inlines
+        #: ``begin_tick`` as a plain attribute store for a node with a
+        #: table, so an override of it keeps a processor off the code
+        #: handlers (not off the sinks).
         base_begin = Processor.begin_tick
         self._chandlers_all: list[list | None] = [None] * len(processors)
         #: the table a node without one delivers through: no code handler,
         #: so every kernel code reaches the fallback
         self._no_codes: list[None] = [None] * kernel.n_codes
         for node, proc in enumerate(processors):
-            if node == root or not proc.PURGES_ONLY_GROWING:
-                continue
             # (dst, in_port << PORT_SHIFT) per connected out-port: where
             # this node's broadcasts land and its purges search
             slot_base = node * self._topo.stride
@@ -444,6 +451,9 @@ class FlatEngine(Engine):
                 for slot in (slot_base + p for p in self._topo.out_ports_of(node))
             )
             csend, cbroadcast = self._make_code_sinks(node, wires)
+            self._csends.append(csend)
+            if node == root or not proc.PURGES_ONLY_GROWING:
+                continue
             paths = (
                 *self._make_object_sinks(csend, cbroadcast),
                 self._make_purge_hook(node, wires),
@@ -573,6 +583,14 @@ class FlatEngine(Engine):
         grow = len(self._chars) - len(self._emitted_by_code)
         if grow > 0:
             self._emitted_by_code.extend([0] * grow)
+
+    def _code_of(self, char: Char) -> int:
+        """The code of ``char``; a stray is interned and the counters grow."""
+        base = self._id_base.get(id(char))
+        if base is None:
+            base = self._wheel.encode_base(char)
+            self._grow_code_tables()
+        return base & CODE_MASK
 
     def _fill_stray(self, code: int, in_port: int) -> Char:
         """The character stray ``code`` delivers as through ``in_port``.
@@ -727,9 +745,10 @@ class FlatEngine(Engine):
                         else:
                             handler(in_port, char)
 
-            # Drains.  Sink-equipped processors schedule at send time and
-            # keep an empty outbox, so only nodes actually holding outbox
-            # entries (the root, sink-less processors, tracer interludes)
+            # Drains.  Processors with the object-sink adapters schedule at
+            # send time and keep an empty outbox, so only nodes actually
+            # holding outbox entries (the root, other processors, tracer
+            # interludes)
             # need one, and only once an entry is due: a node whose next
             # entry leaves later just re-files that tick in the due heap.
             # A node hit by both sweeps is visited twice — the second visit
@@ -772,8 +791,8 @@ class FlatEngine(Engine):
         The static engine knows no such thing — an unconnected out-port is
         always a simulation bug here — but the dynamic subclass overrides
         this to turn the :data:`~repro.topology.compile.CUT` sentinel into
-        a lost character, which is what keeps the fused drain usable while
-        the wiring changes under the run.
+        a lost character, which is what keeps the drain usable while the
+        wiring changes under the run.
         """
         raise SimulationError(
             f"node {node} emitted {char} through unconnected out-port {out_port}"
@@ -791,37 +810,25 @@ class FlatEngine(Engine):
         characters.  ``sink(out_port, char, arrival)`` and ``sink_many(char,
         arrival)`` (every connected out-port, as
         :meth:`~repro.sim.processor.Processor.broadcast` sends) encode the
-        character once — interning a stray and growing the per-code counters
-        — and hand its code to ``csend`` / ``cbroadcast``.  Both decline
+        character once (:meth:`_code_of`) and hand its code to ``csend`` /
+        ``cbroadcast``.  Both decline
         (return False) while a tracer is attached, because tracers expect
         emission records at drain time, and for an arrival past the
         wheel's window (a send with a long ``extra_delay``): the character
         then rests in the outbox and leaves by the oracle's rules.
         """
-        id_base = self._id_base
-        encode_base = self._wheel.encode_base
-        emitted = self._emitted_by_code  # extended in place, never rebound
+        code_of = self._code_of
 
         def sink(out_port: int, char: Char, arrival: int) -> bool:
             if self.tracer is not None or arrival > self.tick + _MASK:
                 return False
-            base = id_base.get(id(char))
-            if base is None:
-                base = encode_base(char)
-                if (base & CODE_MASK) >= len(emitted):
-                    self._grow_code_tables()
-            csend(out_port, base & CODE_MASK, arrival)
+            csend(out_port, code_of(char), arrival)
             return True
 
         def sink_many(char: Char, arrival: int) -> bool:
             if self.tracer is not None or arrival > self.tick + _MASK:
                 return False
-            base = id_base.get(id(char))
-            if base is None:
-                base = encode_base(char)
-                if (base & CODE_MASK) >= len(emitted):
-                    self._grow_code_tables()
-            cbroadcast(base & CODE_MASK, arrival)
+            cbroadcast(code_of(char), arrival)
             return True
 
         return sink, sink_many
@@ -831,17 +838,19 @@ class FlatEngine(Engine):
 
         Called as ``csend(out_port, code, arrival_tick)`` and
         ``cbroadcast(code, arrival_tick)`` by the code handlers
-        (:meth:`~repro.sim.processor.Processor.code_handler_table`) and by
-        the object sink adapters (:meth:`_make_object_sinks`).  No intern
-        lookup and no decline protocol: the callers have encoded the
-        character and checked for a tracer and the wheel's window, so each
-        body is the wire resolve, the emission count, and the packed
-        append.  ``csend`` raises :class:`~repro.errors.SimulationError` on
-        an unconnected slot.  A broadcast always goes through every
-        connected out-port (the §2.3.2 flood shape), so ``all_wires`` is
-        resolved once at build time; the dynamic engine parks a node's
-        send-time paths whenever its out-wiring degrades, so the list never
-        goes stale while in use.
+        (:meth:`~repro.sim.processor.Processor.code_handler_table`), by
+        the object sink adapters (:meth:`_make_object_sinks`) and, for
+        ``csend`` only, by :meth:`_drain_node`.  No intern lookup and no
+        decline protocol: the callers have encoded the character and
+        checked for a tracer and the wheel's window (the drain instead
+        checks :meth:`_blocked_emission` first and records the tracer
+        itself), so each body is the wire resolve, the emission count, and
+        the packed append.  ``csend`` resolves its wire in the live tables
+        and raises :class:`~repro.errors.SimulationError` on an unconnected
+        slot.  A broadcast always goes through every connected out-port
+        (the §2.3.2 flood shape), so ``all_wires`` is resolved once at build
+        time; the dynamic engine parks a node's send-time paths whenever its
+        out-wiring degrades, so the list never goes stale while in use.
         """
         topo = self._topo
         slot_base = node * topo.stride
@@ -938,13 +947,15 @@ class FlatEngine(Engine):
         return purge
 
     def _drain_node(self, node: int) -> None:
-        """Fused drain: outbox → CSR wire → packed lane, no per-entry calls.
+        """Drain ``node``'s due outbox entries through its ``csend``.
 
         Semantically identical to :meth:`Engine._drain_node` (which loops
-        ``_put_on_wire`` per entry); this version hoists every lookup out
-        of the loop and memoizes the encode of consecutive entries carrying
-        the same character instance — a broadcast queues the same object
-        once per out-port, so the memo hits on all but the first.
+        ``_put_on_wire`` per entry): an entry through a slot without a
+        live wire goes to :meth:`_blocked_emission` first, so a lost
+        character is neither filed nor recorded; every other entry is
+        filed at ``tick + 1`` by the sender's code sink, then recorded by
+        the root's transcript and the tracer.  The lookups are bound once
+        per drain.
         """
         proc = self.processors[node]
         tick = self.tick
@@ -952,57 +963,21 @@ class FlatEngine(Engine):
         if entries:
             topo = self._topo
             wire_dst = topo.wire_dst
-            in_shift = self._in_shift
             slot_base = node * topo.stride
-            wheel = self._wheel
-            id_base = self._id_base
-            emitted = self._emitted_by_code
+            csend = self._csends[node]
+            code_of = self._code_of
+            record_send = self.transcript.record_send if node == self.root else None
             tracer = self.tracer
-            is_root = node == self.root
-            next_tick = tick + 1
-            bucket = wheel.slots[next_tick & _MASK]
-            if bucket.tick != next_tick:
-                bucket = wheel.claim(next_tick, tick)
-            lanes = bucket.lanes
-            # per-entry lookups hoisted out of the loop: bound methods for
-            # the two dict/list hits every entry makes, the packed-field
-            # constants, and the root's transcript recorder
-            lanes_get = lanes.get
-            touched_append = bucket.nodes.append
-            id_base_get = id_base.get
-            code_mask = CODE_MASK
-            seq_shift = SEQ_SHIFT
-            record_send = self.transcript.record_send if is_root else None
-            prev_char: Char | None = None
-            prev_base = 0
+            arrival = tick + 1
             for entry in entries:
                 char = entry.char
                 out_port = entry.out_port
-                slot = slot_base + out_port
-                dst = wire_dst[slot]
-                if dst < 0:
-                    if self._blocked_emission(node, out_port, char, dst):
-                        continue
-                if char is prev_char:
-                    base = prev_base
-                else:
-                    base = id_base_get(id(char))
-                    if base is None:
-                        base = wheel.encode_base(char)
-                        if (base & code_mask) >= len(emitted):
-                            self._grow_code_tables()
-                    prev_char = char
-                    prev_base = base
-                emitted[base & code_mask] += 1
+                dst = wire_dst[slot_base + out_port]
+                if dst < 0 and self._blocked_emission(node, out_port, char, dst):
+                    continue
+                csend(out_port, code_of(char), arrival)
                 if record_send is not None:
                     record_send(tick, out_port, char)
                 if tracer is not None:
                     tracer.record_emission(tick, node, out_port, char)
-                lane = lanes_get(dst)
-                if lane is None:
-                    lane = lanes[dst] = array("q")
-                    touched_append(dst)
-                elif not lane:
-                    touched_append(dst)
-                lane.append(base | in_shift[slot] | (len(lane) << seq_shift))
         self._active.update(node, proc._next_due)

@@ -99,12 +99,15 @@ def test_single_rca_parity(initiator):
     assert obj.engine.metrics.delivered == flat.engine.metrics.delivered
 
 
-def test_single_bca_parity():
+@pytest.mark.parametrize("root", [0, 3])
+def test_single_bca_parity(root):
     # the default message "PING" rides on a BD tail outside the kernel's
-    # code space, so this also covers the flat engine's stray delivery
+    # code space, so this also covers the flat engine's stray delivery.
+    # With root=3 the initiator is the root: its stray tail rests in the
+    # outbox and leaves through the drain instead of a send-time sink
     graph = generators.bidirectional_ring(8)
-    obj = run_single_bca(graph, 3, 1, backend="object")
-    flat = run_single_bca(graph, 3, 1, backend="flat")
+    obj = run_single_bca(graph, 3, 1, root=root, backend="object")
+    flat = run_single_bca(graph, 3, 1, root=root, backend="flat")
     assert obj.delivered_at == flat.delivered_at
     assert obj.initiator_done_at == flat.initiator_done_at
     assert obj.target_resumed_at == flat.target_resumed_at
@@ -113,6 +116,7 @@ def test_single_bca_parity():
         flat.engine.transcript
     )
     assert obj.engine.metrics.delivered == flat.engine.metrics.delivered
+    assert obj.engine.metrics.emitted == flat.engine.metrics.emitted
 
 
 # ----------------------------------------------------------------------

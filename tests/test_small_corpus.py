@@ -9,13 +9,16 @@ port isomorphism is forced by that walk, and two graphs are isomorphic
 exactly when their canonical forms are equal.
 
 Tier-1 maps every graph with N <= 2 at delta = 2, and every 25th with
-N = 3, on the ``flat`` backend with the cleanup sweep and the finite-state
-audit on, and requires the ``object`` backend's transcript;
-``REPRO_PARITY_FUZZ=1`` maps every graph with N <= 3.  The N = 3 sample is
-there because two nodes are too few for a snake to be relayed away from
-the root: a changed relay delay in a code handler passes every N <= 2
-graph.  The enumerator is cross-checked against a brute force over all
-port labelings up to N = 3.
+N = 3; at delta = 3 it maps every graph with N = 1 and every 40th with
+N = 2.  Each runs on the ``flat`` backend with the cleanup sweep and the
+finite-state audit on, and must reproduce the ``object`` backend's
+transcript.  ``REPRO_PARITY_FUZZ=1`` maps every graph in scope.  The
+N = 3 sample is there because two nodes are too few for a snake to be
+relayed away from the root: a changed relay delay in a code handler
+passes every N <= 2 graph.  Delta = 3 gives every node three ports, so
+broadcasts and root drains are wider than anything at delta = 2.  The
+enumerator is cross-checked against a brute force over all port
+labelings up to N = 3 at delta = 2 and N = 2 at delta = 3.
 """
 
 from __future__ import annotations
@@ -32,8 +35,28 @@ from tests.test_backend_parity import assert_same_run
 
 FUZZ = os.environ.get("REPRO_PARITY_FUZZ") == "1"
 DELTA = 2
-#: (N, stride): which graphs of each size are mapped on both backends
-MAPPED = [(1, 1), (2, 1), (3, 1 if FUZZ else 25)]
+
+
+def _cases(*rows: tuple) -> list:
+    """``(delta, ...)`` rows as pytest params; an id names the delta only
+    when it is not :data:`DELTA`."""
+    params = []
+    for delta, *rest in rows:
+        parts = rest if delta == DELTA else [f"delta{delta}", *rest]
+        params.append(pytest.param(delta, *rest, id="-".join(map(str, parts))))
+    return params
+
+
+#: (delta, N, count): the corpus size at each scope
+COUNTS = _cases((2, 1, 6), (2, 2, 84), (2, 3, 1944), (3, 1, 33), (3, 2, 8541))
+#: (delta, N, stride): which graphs of each size are mapped on both backends
+MAPPED = _cases(
+    (2, 1, 1),
+    (2, 2, 1),
+    (2, 3, 1 if FUZZ else 25),
+    (3, 1, 1),
+    (3, 2, 1 if FUZZ else 40),
+)
 
 #: canonical (src, out_port, dst, in_port) wire tuples
 Wires = tuple[tuple[int, int, int, int], ...]
@@ -133,30 +156,30 @@ def _brute_force(n: int, delta: int = DELTA) -> set[Wires]:
     return found
 
 
-def _graph(wires: Wires, n: int) -> PortGraph:
-    graph = PortGraph(n, DELTA)
+def _graph(wires: Wires, n: int, delta: int = DELTA) -> PortGraph:
+    graph = PortGraph(n, delta)
     for wire in wires:
         graph.add_wire(*wire)
     return graph.freeze()
 
 
-@pytest.mark.parametrize("n,count", [(1, 6), (2, 84), (3, 1944)])
-def test_corpus_counts_are_pinned(n, count):
-    graphs = list(rooted_port_graphs(n))
+@pytest.mark.parametrize("delta,n,count", COUNTS)
+def test_corpus_counts_are_pinned(delta, n, count):
+    graphs = list(rooted_port_graphs(n, delta))
     assert len(graphs) == count
     assert len(set(graphs)) == count  # each graph once
-    assert all(_canonical(g, n) == tuple(sorted(g)) for g in graphs)
+    assert all(_canonical(g, n, delta) == tuple(sorted(g)) for g in graphs)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_enumerator_matches_brute_force(n):
-    assert set(rooted_port_graphs(n)) == _brute_force(n)
+@pytest.mark.parametrize("delta,n", _cases((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)))
+def test_enumerator_matches_brute_force(delta, n):
+    assert set(rooted_port_graphs(n, delta)) == _brute_force(n, delta)
 
 
-@pytest.mark.parametrize("n,stride", MAPPED)
-def test_small_graphs_map_identically_on_both_backends(n, stride):
-    for wires in islice(rooted_port_graphs(n), 0, None, stride):
-        graph = _graph(wires, n)
+@pytest.mark.parametrize("delta,n,stride", MAPPED)
+def test_small_graphs_map_identically_on_both_backends(delta, n, stride):
+    for wires in islice(rooted_port_graphs(n, delta), 0, None, stride):
+        graph = _graph(wires, n, delta)
         runs = [
             determine_topology(
                 graph, backend=backend, verify_cleanup=True, audit_finite_state=True
