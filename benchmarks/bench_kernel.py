@@ -2,9 +2,9 @@
 
 The flat engine's one delivery loop serves most deliveries through the
 compile-time character kernel: code-indexed handler lists, int fill rows,
-packed sink closures.  Codes without a handler, the root, parked nodes
-and traced ticks take the loop's fallback branch (the object engine's
-kind-keyed handler tables over :class:`Char` objects).  This bench
+packed sink closures.  Codes without a handler, the root and parked
+nodes take the loop's fallback branch (the object engine's kind-keyed
+handler tables over :class:`Char` objects).  This bench
 measures both sides of that split on the *same engine class* — the
 control engine drops the code-handler tables so every hop takes the
 fallback — and records the per-hop speedup the kernel buys.  In-bench

@@ -152,9 +152,8 @@ class DynamicWiringMixin:
         timeline: Sequence[WireMutation] = (),
         *,
         root: int = 0,
-        record_transcript: bool = True,
     ) -> None:
-        super().__init__(graph, processors, root=root, record_transcript=record_transcript)
+        super().__init__(graph, processors, root=root)
         ops = getattr(timeline, "ops", timeline)
         self._ops = validate_wire_ops(graph, ops)
         self._cursor = 0

@@ -35,15 +35,12 @@ from repro.sim.characters import (
     SCOPE_RCA,
     STAR,
     convert,
-    fill_in_port,
     growing_family_of,
     intern_char,
-    is_dying,
     is_growing,
     make_body,
     make_head,
     make_tail,
-    snake_family,
     snake_role,
 )
 from repro.sim.processor import Processor
@@ -179,27 +176,11 @@ class ProtocolProcessor(Processor):
     # dispatch
     # ==================================================================
     def handle(self, in_port: int, char: Char) -> None:
-        kind = char.kind
-        if kind == "KILL":
-            self._handle_kill(char)
-        elif kind == "UNMARK":
-            self._dispatch_unmark(in_port, char)
-        elif is_dying(char):
-            family = snake_family(char)
-            if family == "BD":
-                self._handle_bd(in_port, char)
-            else:
-                self._handle_rca_dying(family, in_port, char)
-        elif is_growing(char):
-            self._handle_growing(snake_family(char), in_port, fill_in_port(char, in_port))
-        elif kind in ("FWD", "BACK"):
-            self._handle_loop_token(in_port, char)
-        elif kind == "BDONE":
-            self._handle_bdone(in_port, char)
-        elif kind == "DFS":
-            self._dispatch_dfs(in_port, char)
-        else:
+        """Route ``char`` to the adapter :attr:`_DISPATCH_NAMES` names for its kind."""
+        name = self._DISPATCH_NAMES.get(char.kind)
+        if name is None:
             raise ProtocolViolation(f"unknown character {char} at node {self._node()}")
+        getattr(self, name)(in_port, char)
 
     # Uniform (in_port, char) adapters for the scheduler's dispatch tables.
     def _dispatch_kill(self, in_port: int, char: Char) -> None:
@@ -212,9 +193,9 @@ class ProtocolProcessor(Processor):
             self._handle_unmark_bca(in_port, char)
 
     # The adapters inline :func:`fill_in_port` (the dispatch table already
-    # guarantees the kind, so only the STAR check remains) and hoist
-    # :meth:`_handle_growing`'s interception tests — each adapter knows its
-    # family, so the per-delivery string comparisons disappear.
+    # guarantees the kind, so only the STAR check remains) and each growing
+    # adapter tests its own family's interception (the root for IG, an
+    # RCA initiator for OG, a BCA initiator for BG) before the relay.
     def _dispatch_dfs(self, in_port: int, char: Char) -> None:
         if char.in_port == STAR:
             char = intern_char(char.kind, char.out_port, in_port, char.payload)
@@ -464,20 +445,6 @@ class ProtocolProcessor(Processor):
     # ==================================================================
     # growing snakes (§2.3.2)
     # ==================================================================
-    def _handle_growing(self, family: str, in_port: int, char: Char) -> None:
-        # Interceptions: terminators and initiators do not act as relays.
-        assert self.ctx is not None
-        if family == "IG" and self.ctx.is_root:
-            self._root_handle_ig(in_port, char)
-            return
-        if family == "OG" and self.rca_phase != _RCA_IDLE:
-            self._rca_handle_og(in_port, char)
-            return
-        if family == "BG" and self.bca_phase != _BCA_IDLE:
-            self._bca_handle_bg(in_port, char)
-            return
-        self._relay_growing(self.growing[family], family, in_port, char)
-
     def _relay_growing(
         self, marks: GrowingMarks, family: str, in_port: int, char: Char
     ) -> None:

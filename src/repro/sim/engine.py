@@ -110,17 +110,10 @@ class Engine:
         graph: the (frozen) network wiring.
         processors: one :class:`Processor` per node.
         root: the processor nudged out of quiescence by the outside source.
-        record_transcript: whether to record the root's I/O (cheap; on by
-            default because the master computer needs it).
     """
 
     def __init__(
-        self,
-        graph: PortGraph,
-        processors: list[Processor],
-        root: int = 0,
-        *,
-        record_transcript: bool = True,
+        self, graph: PortGraph, processors: list[Processor], root: int = 0
     ) -> None:
         if not graph.frozen:
             raise SimulationError("engine requires a frozen PortGraph")
@@ -134,7 +127,7 @@ class Engine:
         self.processors = processors
         self.root = root
         self.tick = 0
-        self.transcript = Transcript(enabled=record_transcript)
+        self.transcript = Transcript()
         self.metrics = TrafficMetrics()
         #: optional omniscient tracer (see :mod:`repro.sim.tracer`)
         self.tracer = None
@@ -177,7 +170,7 @@ class Engine:
         :class:`~repro.sim.run.EnginePool`.
         """
         self.tick = 0
-        self.transcript = Transcript(enabled=self.transcript.enabled)
+        self.transcript = Transcript()
         self.metrics = TrafficMetrics()
         self.tracer = None
         self._wheel.clear()
@@ -224,9 +217,7 @@ class Engine:
         self.tick = checkpoint.tick
         self._wheel.load(checkpoint.wheel)
         self._active.load(checkpoint.active)
-        self.transcript = Transcript.from_events(
-            events[: checkpoint.transcript], enabled=self.transcript.enabled
-        )
+        self.transcript = Transcript.from_events(events[: checkpoint.transcript])
         self._load_traffic(checkpoint.traffic)
         for proc, state in zip(self.processors, checkpoint.processors):
             proc.load_state(state)

@@ -44,7 +44,8 @@ on dense integer tables instead of Python object graphs:
   rests in its sender's outbox, and the drain files it through the
   sender's ``csend`` at its departure tick.  One helper,
   :meth:`FlatEngine._code_of`, encodes a
-  :class:`~repro.sim.characters.Char` for all of them.  Taking entries
+  :class:`~repro.sim.characters.Char` for all of them, and grows the
+  per-code counters when a stray lies past them.  Taking entries
   back out — a KILL purging characters that would still rest in their
   sender, or a cut pulling them back to the sender's outbox — is one
   wheel-level lane filter, :meth:`PackedEventWheel.withdraw`.  Each sender keeps a
@@ -54,11 +55,11 @@ on dense integer tables instead of Python object graphs:
 * one stepping body, :meth:`FlatEngine._burst`, runs a whole stretch of
   busy ticks in one frame: :meth:`~repro.sim.engine.Engine.run` and
   :meth:`~repro.sim.engine.Engine.run_to_idle` call it, and ``step_tick``
-  is a one-tick burst.  Its one delivery loop hands each entry to the
-  node's code handler for that code; an entry without one takes the
-  loop's fallback branch, which records the root's receipt and the
-  tracer's delivery and dispatches through the object engine's per-kind
-  tables.  A drain runs only when a node has an outbox entry due.
+  is a one-tick burst.  Its one delivery loop, in place over the slot,
+  hands each entry to the node's code handler for that code; an entry
+  without one takes the loop's fallback branch, which records the root's
+  receipt and dispatches through the object engine's per-kind tables.  A
+  drain runs only when a node has an outbox entry due.
 
 Delivery timing, fast-forward, outbox residence and KILL purge semantics
 are the base engine's, tick for tick — this module replaces only the data
@@ -141,58 +142,23 @@ class PackedEventWheel:
 
     Drop-in for the object backend's :class:`~repro.sim.scheduler.EventWheel`
     query surface (``next_tick`` / ``__bool__`` / ``__len__`` /
-    ``in_flight``), but ``schedule`` encodes the character through the
-    kernel and appends one packed int to the destination node's
-    ``array('q')`` lane, and ``pop`` hands the whole bucket back for
-    zero-copy delivery.  The buckets live in one fixed ring, ``slots``, of
-    :data:`WHEEL_SLOTS` entries: tick ``t`` in slot ``t & 15``.  Filing
-    into a slot that holds another tick goes through :meth:`claim`, which
-    refuses an arrival outside ``(now, now + 15]`` or a slot still
-    pending, so the ring never wraps silently.
+    ``in_flight``) over one packed int per character in the destination
+    node's ``array('q')`` lane.  The wheel itself neither files nor
+    delivers: the engine's code sinks append entries and its stepping
+    body delivers each slot in place.  The buckets live in one fixed
+    ring, ``slots``, of :data:`WHEEL_SLOTS` entries: tick ``t`` in slot
+    ``t & 15``.  Filing into a slot that holds another tick goes through
+    :meth:`claim`, which refuses an arrival outside ``(now, now + 15]``
+    or a slot still pending, so the ring never wraps silently.
     """
 
-    __slots__ = ("kernel", "chars", "base_of", "slots")
+    __slots__ = ("chars", "slots")
 
     def __init__(self, kernel: CharKernel) -> None:
-        # the encode map is the kernel's own (shared by every wheel at this
-        # delta, extended by the kernel when it interns a stray)
-        self.kernel = kernel
+        # the kernel's decode list, extended by the kernel when it interns
+        # a stray
         self.chars = kernel.chars
-        self.base_of = kernel.base_of
         self.slots: list[_Bucket] = [_Bucket() for _ in range(WHEEL_SLOTS)]
-
-    # ------------------------------------------------------------------
-    def encode_base(self, char: Char) -> int:
-        """``(priority << PRIO_SHIFT) | code`` for ``char`` (interns new)."""
-        base = self.base_of.get(char)
-        if base is None:
-            kernel = self.kernel
-            base = kernel.code_base[kernel.encode(char)]
-        return base
-
-    def schedule(
-        self, tick: int, node: int, in_port: int, char: Char, *, now: int = 0
-    ) -> None:
-        """File ``char`` for delivery at ``tick`` through ``in_port``.
-
-        ``now`` is the current tick: ``tick`` must lie in ``(now, now +
-        15]`` (see :meth:`claim`).
-        """
-        bucket = self.slots[tick & _MASK]
-        if bucket.tick != tick:
-            bucket = self.claim(tick, now)
-        lanes = bucket.lanes
-        lane = lanes.get(node)
-        if lane is None:
-            lane = lanes[node] = array("q")
-            bucket.nodes.append(node)
-        elif not lane:
-            bucket.nodes.append(node)
-        lane.append(
-            self.encode_base(char)
-            | (in_port << PORT_SHIFT)
-            | (len(lane) << SEQ_SHIFT)
-        )
 
     def claim(self, tick: int, now: int) -> _Bucket:
         """Stamp ``tick`` into its slot, which holds another tick; return it.
@@ -267,19 +233,6 @@ class PackedEventWheel:
                     if not lane:
                         bucket.nodes.remove(dst)
         return removed
-
-    def pop(self, tick: int) -> _Bucket | None:
-        """Remove and return the arrivals bucket for ``tick`` (or ``None``).
-
-        The caller keeps the bucket; its slot gets a fresh one.  The
-        engine delivers in place instead (slow paths and tests use this).
-        """
-        index = tick & _MASK
-        bucket = self.slots[index]
-        if bucket.tick != tick or not bucket.nodes:
-            return None
-        self.slots[index] = _Bucket()
-        return bucket
 
     def clear(self) -> None:
         """Empty the wheel in place, preserving container identity.
@@ -386,16 +339,9 @@ class FlatEngine(Engine):
     _cursor = 0
 
     def __init__(
-        self,
-        graph: PortGraph,
-        processors: list[Processor],
-        root: int = 0,
-        *,
-        record_transcript: bool = True,
+        self, graph: PortGraph, processors: list[Processor], root: int = 0
     ) -> None:
-        super().__init__(
-            graph, processors, root=root, record_transcript=record_transcript
-        )
+        super().__init__(graph, processors, root=root)
         topo = compiled_topology(graph)
         self._topo = topo.fork() if self.MUTATES_TOPOLOGY else topo
         # ---- the code space (compile-time character algebra) ----
@@ -408,8 +354,7 @@ class FlatEngine(Engine):
         self._wheel = PackedEventWheel(kernel)
         self._id_base = kernel.id_base
         self._chars = kernel.chars
-        self._emitted_by_code: list[int] = []
-        self._grow_code_tables()
+        self._emitted_by_code: list[int] = [0] * len(kernel.chars)
         # Per-slot precomputed (in_port << PORT_SHIFT) — ready-made ints, so
         # the hot loops do one list indexing instead of a shift per entry.
         # The table is immutable protocol data derived from the wiring, so
@@ -468,6 +413,24 @@ class FlatEngine(Engine):
         #: (sets it None) and restores it, mirroring its sink parking
         self._chandlers: list[list | None] = list(self._chandlers_all)
 
+    @property
+    def tracer(self) -> None:
+        """Always ``None``: tracing runs on the ``object`` backend.
+
+        The parity contract makes an ``object`` run the same run, tick
+        for tick, so the flat engine carries no tracer through its hot
+        code; attaching one raises :class:`~repro.errors.SimulationError`.
+        """
+        return None
+
+    @tracer.setter
+    def tracer(self, value) -> None:
+        if value is not None:
+            raise SimulationError(
+                "the flat engine does not trace; attach the tracer to an "
+                "engine of backend 'object'"
+            )
+
     def reset(self) -> None:
         """Restore power-on state; every compiled table survives.
 
@@ -481,10 +444,6 @@ class FlatEngine(Engine):
         super().reset()
         emitted = self._emitted_by_code
         emitted[:] = [0] * len(emitted)
-        # another engine may have interned strays into the shared kernel
-        # since this one last grew: a send of one hits the kernel's
-        # identity map without passing this engine's growth check
-        self._grow_code_tables()
         processors = self.processors
         for node, paths in self._fast_paths.items():
             proc = processors[node]
@@ -585,24 +544,18 @@ class FlatEngine(Engine):
             self._emitted_by_code.extend([0] * grow)
 
     def _code_of(self, char: Char) -> int:
-        """The code of ``char``; a stray is interned and the counters grow."""
-        base = self._id_base.get(id(char))
-        if base is None:
-            base = self._wheel.encode_base(char)
-            self._grow_code_tables()
-        return base & CODE_MASK
+        """The code of ``char``, the one way into the emission counters.
 
-    def _fill_stray(self, code: int, in_port: int) -> Char:
-        """The character stray ``code`` delivers as through ``in_port``.
-
-        The kernel fills a stray by the engine's rule and may intern the
-        filled variant on first sight; the per-code emission counters then
-        grow to cover it before a handler can re-emit it.
+        A stray is interned on first sight.  The counters grow whenever
+        the code lies past them, whichever engine interned it: the kernel
+        is shared, so another engine may have interned a stray since this
+        one last grew.
         """
-        code = self._kernel.fill(code, in_port)
+        base = self._id_base.get(id(char))
+        code = self._kernel.encode(char) if base is None else base & CODE_MASK
         if code >= len(self._emitted_by_code):
             self._grow_code_tables()
-        return self._chars[code]
+        return code
 
     # ------------------------------------------------------------------
     # the data plane
@@ -630,10 +583,9 @@ class FlatEngine(Engine):
         processors = self.processors
         dispatch = self._dispatch
         chars = self._chars
-        emitted = self._emitted_by_code
         root = self.root
         record_recv = self.transcript.record_recv
-        live_chandlers = self._chandlers
+        chandlers = self._chandlers
         kfill = self._kernel.fill_rows
         kn = self._kernel.n_codes
         no_codes = self._no_codes
@@ -687,22 +639,16 @@ class FlatEngine(Engine):
             bucket = slots[tick & mask]
             nodes = bucket.nodes
             if nodes:
-                n_codes = len(emitted)
-                tracer = self.tracer
                 lanes = bucket.lanes
-                # a tracer needs every delivery decoded and recorded, so its
-                # presence sends whole ticks down the fallback
-                chandlers = live_chandlers if tracer is None else None
                 for node in nodes:
                     lane = lanes[node]
                     proc = processors[node]
                     # one plain integer sort recovers (priority, in-port, FIFO)
                     entries = sorted(lane) if len(lane) > 1 else lane
-                    ctable = chandlers[node] if chandlers is not None else None
+                    ctable = chandlers[node]
                     if ctable is None:
-                        # the root, a traced tick, a parked node or a
-                        # processor without code handlers: every delivery
-                        # takes the fallback below
+                        # the root, a parked node or a processor without
+                        # code handlers: every delivery takes the fallback
                         ctable = no_codes
                         proc.begin_tick(tick)
                     else:
@@ -723,19 +669,15 @@ class FlatEngine(Engine):
                                 continue
                             char = chars[code]
                         else:
-                            if raw >= n_codes:
-                                # a code scheduled through the generic wheel
-                                # API without passing the engine's intern path
-                                self._grow_code_tables()
-                                n_codes = len(emitted)
-                            char = self._fill_stray(raw, in_port)
+                            # a stray: the kernel fills it by the same rule
+                            # (a re-send passes _code_of, which grows the
+                            # counters for a newly interned variant)
+                            char = chars[self._kernel.fill(raw, in_port)]
                         # the fallback (the object oracle's semantics): the
-                        # root's transcript and the tracer see the character
-                        # as sent, before the §2.3.2 STAR fill
+                        # root's transcript sees the character as sent,
+                        # before the §2.3.2 STAR fill
                         if node == root:
                             record_recv(tick, in_port, chars[raw])
-                        if tracer is not None:
-                            tracer.record_delivery(tick, node, in_port, chars[raw])
                         if kinds is None:
                             kinds = dispatch[node]
                             fallback = proc.handle
@@ -747,13 +689,12 @@ class FlatEngine(Engine):
 
             # Drains.  Processors with the object-sink adapters schedule at
             # send time and keep an empty outbox, so only nodes actually
-            # holding outbox entries (the root, other processors, tracer
-            # interludes)
-            # need one, and only once an entry is due: a node whose next
-            # entry leaves later just re-files that tick in the due heap.
-            # A node hit by both sweeps is visited twice — the second visit
-            # finds nothing due, which is cheaper than building the union
-            # set every tick.
+            # holding outbox entries (the root, other processors, arrivals
+            # past the wheel's window) need one, and only once an entry is
+            # due: a node whose next entry leaves later just re-files that
+            # tick in the due heap.  A node hit by both sweeps is visited
+            # twice — the second visit finds nothing due, which is cheaper
+            # than building the union set every tick.
             due = active._due
             if due and due[0][0] <= tick:
                 for node in active.take_due(tick):
@@ -811,22 +752,21 @@ class FlatEngine(Engine):
         arrival)`` (every connected out-port, as
         :meth:`~repro.sim.processor.Processor.broadcast` sends) encode the
         character once (:meth:`_code_of`) and hand its code to ``csend`` /
-        ``cbroadcast``.  Both decline
-        (return False) while a tracer is attached, because tracers expect
-        emission records at drain time, and for an arrival past the
-        wheel's window (a send with a long ``extra_delay``): the character
-        then rests in the outbox and leaves by the oracle's rules.
+        ``cbroadcast``.  Both decline (return False) only for an arrival
+        past the wheel's window (a send with a long ``extra_delay``): the
+        character then rests in the outbox and leaves by the oracle's
+        rules.
         """
         code_of = self._code_of
 
         def sink(out_port: int, char: Char, arrival: int) -> bool:
-            if self.tracer is not None or arrival > self.tick + _MASK:
+            if arrival > self.tick + _MASK:
                 return False
             csend(out_port, code_of(char), arrival)
             return True
 
         def sink_many(char: Char, arrival: int) -> bool:
-            if self.tracer is not None or arrival > self.tick + _MASK:
+            if arrival > self.tick + _MASK:
                 return False
             cbroadcast(code_of(char), arrival)
             return True
@@ -842,14 +782,14 @@ class FlatEngine(Engine):
         the object sink adapters (:meth:`_make_object_sinks`) and, for
         ``csend`` only, by :meth:`_drain_node`.  No intern lookup and no
         decline protocol: the callers have encoded the character and
-        checked for a tracer and the wheel's window (the drain instead
-        checks :meth:`_blocked_emission` first and records the tracer
-        itself), so each body is the wire resolve, the emission count, and
-        the packed append.  ``csend`` resolves its wire in the live tables
-        and raises :class:`~repro.errors.SimulationError` on an unconnected
-        slot.  A broadcast always goes through every connected out-port
-        (the §2.3.2 flood shape), so ``all_wires`` is resolved once at build
-        time; the dynamic engine parks a node's send-time paths whenever its
+        checked the wheel's window (the drain instead checks
+        :meth:`_blocked_emission` first), so each body is the wire
+        resolve, the emission count, and the packed append.  ``csend``
+        resolves its wire in the live tables and raises
+        :class:`~repro.errors.SimulationError` on an unconnected slot.  A
+        broadcast always goes through every connected out-port (the §2.3.2
+        flood shape), so ``all_wires`` is resolved once at build time; the
+        dynamic engine parks a node's send-time paths whenever its
         out-wiring degrades, so the list never goes stale while in use.
         """
         topo = self._topo
@@ -954,8 +894,7 @@ class FlatEngine(Engine):
         live wire goes to :meth:`_blocked_emission` first, so a lost
         character is neither filed nor recorded; every other entry is
         filed at ``tick + 1`` by the sender's code sink, then recorded by
-        the root's transcript and the tracer.  The lookups are bound once
-        per drain.
+        the root's transcript.  The lookups are bound once per drain.
         """
         proc = self.processors[node]
         tick = self.tick
@@ -967,7 +906,6 @@ class FlatEngine(Engine):
             csend = self._csends[node]
             code_of = self._code_of
             record_send = self.transcript.record_send if node == self.root else None
-            tracer = self.tracer
             arrival = tick + 1
             for entry in entries:
                 char = entry.char
@@ -978,6 +916,4 @@ class FlatEngine(Engine):
                 csend(out_port, code_of(char), arrival)
                 if record_send is not None:
                     record_send(tick, out_port, char)
-                if tracer is not None:
-                    tracer.record_emission(tick, node, out_port, char)
         self._active.update(node, proc._next_due)

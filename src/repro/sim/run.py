@@ -79,11 +79,10 @@ def make_engine(
     processors: list[Processor],
     *,
     root: int = 0,
-    record_transcript: bool = True,
 ) -> Engine:
     """Build the engine for ``backend`` (``"object"`` or ``"flat"``)."""
     cls = ENGINE_BACKENDS[check_backend(backend)]
-    return cls(graph, processors, root=root, record_transcript=record_transcript)
+    return cls(graph, processors, root=root)
 
 
 class EnginePool:
@@ -98,10 +97,10 @@ class EnginePool:
     (byte-identical to a fresh engine; the reuse parity suite enforces it).
 
     ``checkout`` hands back an idle engine for the exact signature —
-    ``(engine class, graph wiring, processor class, root, transcript
-    flag)`` — already reset, or constructs one on first sight.  ``checkin``
-    returns it after the run.  Results captured from a run (transcript,
-    metrics) stay valid after check-in: a reset *rebinds* those objects,
+    ``(engine class, processor class, root, graph wiring)`` — already
+    reset, or constructs one on first sight.  ``checkin`` returns it after
+    the run.  Results captured from a run (transcript, metrics) stay
+    valid after check-in: a reset *rebinds* those objects,
     never clears them.  The engine object embedded in some result types is
     only coherent until its next checkout — campaign and benchmark callers,
     the intended users, read everything they need before returning.
@@ -143,7 +142,6 @@ class EnginePool:
         processor_cls: type[Processor],
         *,
         root: int = 0,
-        record_transcript: bool = True,
         timeline=None,
     ) -> Engine:
         """An engine ready to run: reused and reset, or freshly built.
@@ -154,7 +152,7 @@ class EnginePool:
         ``processor_cls`` must be no-arg constructible (every processor in
         the stack is); the pool builds one instance per node.
         """
-        key = (engine_cls, processor_cls, root, record_transcript, graph)
+        key = (engine_cls, processor_cls, root, graph)
         stack = self._idle.get(key)
         if stack:
             self.hits += 1
@@ -170,17 +168,9 @@ class EnginePool:
         self.misses += 1
         processors = [processor_cls() for _ in range(graph.num_nodes)]
         if timeline is None:
-            engine = engine_cls(
-                graph, processors, root=root, record_transcript=record_transcript
-            )
+            engine = engine_cls(graph, processors, root=root)
         else:
-            engine = engine_cls(
-                graph,
-                processors,
-                timeline,
-                root=root,
-                record_transcript=record_transcript,
-            )
+            engine = engine_cls(graph, processors, timeline, root=root)
         engine._pool_key = key
         return engine
 

@@ -7,8 +7,10 @@ delivery in the network so tests can assert on wavefront shapes and the
 space-time renderer (:mod:`repro.viz.spacetime`) can draw how snakes crawl
 and KILL tokens hunt them down.
 
-Attach with ``engine.tracer = EventTrace(...)`` before running.  Tracing is
-off by default and costs nothing when disabled.
+Attach to an ``object`` engine with ``engine.tracer = EventTrace(...)``
+before running.  Tracing is off by default and costs nothing when
+disabled.  The ``flat`` engine refuses a tracer: the parity contract makes
+the ``object`` run the same run, tick for tick, so trace that one.
 """
 
 from __future__ import annotations

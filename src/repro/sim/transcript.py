@@ -44,35 +44,26 @@ class TranscriptEvent(NamedTuple):
 class Transcript:
     """Append-only event log of the root's I/O."""
 
-    def __init__(self, *, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._events: list[TranscriptEvent] = []
 
     @classmethod
-    def from_events(
-        cls, events: Iterable[TranscriptEvent], *, enabled: bool = True
-    ) -> "Transcript":
+    def from_events(cls, events: Iterable[TranscriptEvent]) -> "Transcript":
         """A transcript already holding ``events`` (checkpoint restore)."""
-        transcript = cls(enabled=enabled)
+        transcript = cls()
         transcript._events = list(events)
         return transcript
 
     def record_recv(self, tick: int, in_port: int, char: Char) -> None:
         """Record a character arriving at the root."""
-        if self.enabled:
-            self._events.append(
-                TranscriptEvent(tick, "recv", in_port, char, None, ())
-            )
+        self._events.append(TranscriptEvent(tick, "recv", in_port, char, None, ()))
 
     def record_send(self, tick: int, out_port: int, char: Char) -> None:
         """Record a character leaving the root."""
-        if self.enabled:
-            self._events.append(
-                TranscriptEvent(tick, "send", out_port, char, None, ())
-            )
+        self._events.append(TranscriptEvent(tick, "send", out_port, char, None, ()))
 
     def record_pipe(self, tick: int, label: str, data: tuple) -> None:
-        """Record a root status pipe (always recorded; constant-size)."""
+        """Record a root status pipe (constant-size)."""
         self._events.append(TranscriptEvent(tick, "pipe", None, None, label, data))
 
     # ------------------------------------------------------------------

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaigns.executor import clear_scenario_caches
 from repro.campaigns.spec import build_family
 from repro.dynamics import DynamicEngine, FlatDynamicEngine, compile_timeline
 from repro.errors import SimulationError
+from repro.protocol.bca import ScriptedBCADriver, run_single_bca
 from repro.protocol.gtd import GTDProcessor
 from repro.protocol.rca import run_single_rca
 from repro.protocol.runner import determine_topology
@@ -126,8 +128,38 @@ class TestAlphabet:
 
 
 # ----------------------------------------------------------------------
-# the packed event wheel
+# the packed event wheel, filled through an engine's code sinks
 # ----------------------------------------------------------------------
+def _filing_engine(*wires: tuple[int, int, int, int]) -> FlatEngine:
+    """A flat engine over ``wires`` (``(src, out_port, dst, in_port)``).
+
+    Ports 1–3 are the tests' own; a directed ring through every node's
+    port 4 makes the graph valid.  Nothing runs on the engine: the tests
+    file entries through a sender's code sinks (:func:`_file`) and read
+    the wheel.
+    """
+    n = 1 + max(max(src, dst) for src, _, dst, _ in wires)
+    graph = PortGraph(n, 4)
+    for wire in wires:
+        graph.add_wire(*wire)
+    for node in range(n):
+        graph.add_wire(node, 4, (node + 1) % n, 4)
+    graph.freeze()
+    return FlatEngine(graph, [GTDProcessor() for _ in graph.nodes()])
+
+
+def _file(engine: FlatEngine, src: int, out_port: int, char: Char, arrival: int):
+    """File ``char`` from ``src`` through ``out_port`` for ``arrival``."""
+    engine._csends[src](out_port, engine._code_of(char), arrival)
+
+
+def _slot(wheel: PackedEventWheel, tick: int):
+    """The pending bucket holding ``tick``'s arrivals."""
+    bucket = wheel.slots[tick % WHEEL_SLOTS]
+    assert bucket.tick == tick and bucket.nodes
+    return bucket
+
+
 def _kinds_of(wheel: PackedEventWheel, bucket, node: int) -> list[str]:
     lane = sorted(bucket.lanes[node])
     return [wheel.chars[packed & CODE_MASK].kind for packed in lane]
@@ -135,74 +167,81 @@ def _kinds_of(wheel: PackedEventWheel, bucket, node: int) -> list[str]:
 
 class TestPackedEventWheel:
     def test_sort_order_is_priority_then_port_then_fifo(self):
-        wheel = PackedEventWheel(CharKernel(2))
-        wheel.schedule(5, 0, 2, Char("DFS"))
-        wheel.schedule(5, 0, 1, Char("IGH"))
-        wheel.schedule(5, 0, 1, Char("KILL"))
-        wheel.schedule(5, 0, 2, Char("IDH"))
-        bucket = wheel.pop(5)
+        # node 1 feeds node 0's in-port 1, node 2 its in-port 2
+        engine = _filing_engine((1, 1, 0, 1), (2, 1, 0, 2))
+        _file(engine, 2, 1, Char("DFS"), 5)
+        _file(engine, 1, 1, Char("IGH"), 5)
+        _file(engine, 1, 1, Char("KILL"), 5)
+        _file(engine, 2, 1, Char("IDH"), 5)
+        wheel = engine._wheel
+        bucket = _slot(wheel, 5)
         assert _kinds_of(wheel, bucket, 0) == ["KILL", "IDH", "IGH", "DFS"]
 
     def test_fifo_breaks_ties_within_port_and_priority(self):
-        wheel = PackedEventWheel(CharKernel(2))
+        engine = _filing_engine((0, 1, 7, 1))
         first = make_body("IG", 1)
         second = make_body("IG", 2)
-        wheel.schedule(3, 7, 1, first)
-        wheel.schedule(3, 7, 1, second)
-        bucket = wheel.pop(3)
-        lane = sorted(bucket.lanes[7])
+        _file(engine, 0, 1, first, 3)
+        _file(engine, 0, 1, second, 3)
+        wheel = engine._wheel
+        lane = sorted(_slot(wheel, 3).lanes[7])
         chars = [wheel.chars[p & CODE_MASK] for p in lane]
         assert chars == [first, second]
 
     def test_packed_entry_fields_round_trip(self):
-        wheel = PackedEventWheel(CharKernel(3))
-        wheel.schedule(1, 4, 3, Char("UNMARK", payload="RCA"))
-        bucket = wheel.pop(1)
-        packed = bucket.lanes[4][0]
+        engine = _filing_engine((0, 1, 4, 3))
+        _file(engine, 0, 1, Char("UNMARK", payload="RCA"), 1)
+        wheel = engine._wheel
+        packed = _slot(wheel, 1).lanes[4][0]
         assert (packed >> PORT_SHIFT) & PORT_MASK == 3
         assert wheel.chars[packed & CODE_MASK] == Char("UNMARK", payload="RCA")
         assert packed >> PRIO_SHIFT == KIND_PRIORITY["UNMARK"]
 
     def test_next_tick_and_emptiness(self):
-        wheel = PackedEventWheel(CharKernel(2))
+        engine = _filing_engine((1, 1, 0, 1), (0, 1, 1, 1))
+        wheel = engine._wheel
         assert wheel.next_tick() is None
-        wheel.schedule(9, 0, 1, Char("DFS"))
-        wheel.schedule(4, 1, 1, Char("DFS"))
+        _file(engine, 1, 1, Char("DFS"), 9)
+        _file(engine, 0, 1, Char("DFS"), 4)
         assert wheel.next_tick() == 4
-        wheel.pop(4)
+        _slot(wheel, 4).clear()  # delivered in place, as the stepping body does
         assert wheel.next_tick() == 9
-        wheel.pop(9)
+        _slot(wheel, 9).clear()
         assert wheel.next_tick() is None
         assert not wheel
 
     def test_in_flight_lists_all_scheduled(self):
-        wheel = PackedEventWheel(CharKernel(2))
-        wheel.schedule(1, 0, 1, Char("DFS"))
-        wheel.schedule(2, 3, 1, Char("KILL"))
+        engine = _filing_engine((1, 1, 0, 1), (0, 1, 3, 1))
+        wheel = engine._wheel
+        _file(engine, 1, 1, Char("DFS"), 1)
+        _file(engine, 0, 1, Char("KILL"), 2)
         assert sorted(node for node, _ in wheel.in_flight()) == [0, 3]
         assert len(wheel) == 2
         kinds = sorted(char.kind for _, char in wheel.in_flight())
         assert kinds == ["DFS", "KILL"]
 
     def test_schedule_past_the_window_raises(self):
-        wheel = PackedEventWheel(CharKernel(2))
-        wheel.schedule(WHEEL_SLOTS - 1, 0, 1, Char("DFS"))  # the window's edge
+        engine = _filing_engine((1, 1, 0, 1))
+        wheel = engine._wheel
+        _file(engine, 1, 1, Char("DFS"), WHEEL_SLOTS - 1)  # the window's edge
         with pytest.raises(SimulationError, match="outside the wheel window"):
-            wheel.schedule(WHEEL_SLOTS, 0, 1, Char("DFS"))
+            wheel.claim(WHEEL_SLOTS, 0)
         with pytest.raises(SimulationError, match="outside the wheel window"):
-            wheel.schedule(20, 0, 1, Char("DFS"), now=20)  # not after now
+            wheel.claim(20, 20)  # not after now
         assert len(wheel) == 1
 
     def test_schedule_into_a_pending_slot_raises(self):
-        wheel = PackedEventWheel(CharKernel(2))
-        wheel.schedule(3, 0, 1, Char("DFS"))
+        engine = _filing_engine((1, 1, 0, 1), (0, 1, 1, 1))
+        wheel = engine._wheel
+        _file(engine, 1, 1, Char("DFS"), 3)
         # tick 3 + WHEEL_SLOTS shares the slot, and lies inside the window
         # seen from tick 5: the ring must not wrap onto tick 3's entries
         with pytest.raises(SimulationError, match="still holds tick 3"):
-            wheel.schedule(3 + WHEEL_SLOTS, 1, 1, Char("DFS"), now=5)
+            wheel.claim(3 + WHEEL_SLOTS, 5)
         assert wheel.next_tick() == 3 and len(wheel) == 1
-        wheel.pop(3)
-        wheel.schedule(3 + WHEEL_SLOTS, 1, 1, Char("DFS"), now=5)
+        _slot(wheel, 3).clear()
+        engine.tick = 5
+        _file(engine, 0, 1, Char("DFS"), 3 + WHEEL_SLOTS)
         assert wheel.next_tick() == 3 + WHEEL_SLOTS
 
 
@@ -548,3 +587,59 @@ def test_delivered_slots_are_restamped_for_their_next_tick(monkeypatch):
     assert result.matches(graph)
     assert claims
     assert len(claims) < result.drained_ticks / 4
+
+
+# ----------------------------------------------------------------------
+# strays: characters outside the kernel's code space
+# ----------------------------------------------------------------------
+def _transcript_bytes(transcript) -> bytes:
+    return "\n".join(repr(event) for event in transcript.events()).encode()
+
+
+def _traffic(engine) -> tuple:
+    metrics = engine.metrics
+    return dict(metrics.emitted), dict(metrics.delivered)
+
+
+def test_stray_first_seen_in_the_drain_matches_the_object_backend():
+    # a cold kernel (cleared with every cache built on it) makes this run
+    # the first to see its BD tail; with the initiator as root, the tail
+    # leaves through the drain's _code_of
+    clear_scenario_caches()
+    graph = generators.bidirectional_ring(8)
+    flat, obj = (
+        run_single_bca(graph, 3, 1, root=3, message="DRAIN-FIRST", backend=backend)
+        for backend in ("flat", "object")
+    )
+    assert flat.ticks == obj.ticks
+    assert _transcript_bytes(flat.engine.transcript) == _transcript_bytes(
+        obj.engine.transcript
+    )
+    assert _traffic(flat.engine) == _traffic(obj.engine)
+
+
+def test_stray_interned_by_another_engine_grows_the_counters():
+    """Engine A is built before engine B interns the stray A later sends.
+
+    The send resolves through the kernel's identity map, shared by every
+    engine at the delta, so A's counters must grow at encode time.
+    """
+    clear_scenario_caches()  # a cold kernel: nobody has seen BDT(ZZ9)
+    graph = generators.de_bruijn(2, 3)
+    port = min(graph.connected_in_ports(3))
+    runs = []
+    for cls in (FlatEngine, Engine):
+        procs = [ScriptedBCADriver() for _ in graph.nodes()]
+        runs.append((cls(graph, list(procs)), procs))
+    run_single_bca(graph, 3, port, message="ZZ9", backend="flat")
+    for engine, procs in runs:
+        engine.start()
+        procs[3].begin_tick(engine.tick)
+        procs[3].trigger(port, "ZZ9")
+        engine.wake(3)
+        engine.run_to_idle(max_ticks=100_000)
+    flat, obj = (engine for engine, _ in runs)
+    assert flat.tick == obj.tick
+    assert _transcript_bytes(flat.transcript) == _transcript_bytes(obj.transcript)
+    assert _traffic(flat) == _traffic(obj)
+    assert _traffic(flat)[0]["BDT"] > 0

@@ -32,13 +32,6 @@ class TestTranscript:
         assert t.pipes()[0].label == "TERMINAL"
         assert t.pipes("OTHER") == []
 
-    def test_disabled_skips_io_but_keeps_pipes(self):
-        t = Transcript(enabled=False)
-        t.record_recv(1, 1, make_head("IG", 1))
-        t.record_send(1, 1, make_head("IG", 1))
-        t.record_pipe(1, "X", (1,))
-        assert len(t) == 1
-
     def test_event_order_preserved(self):
         t = Transcript()
         for tick in range(5):

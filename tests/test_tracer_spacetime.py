@@ -1,9 +1,8 @@
 """The omniscient tracer and the space-time renderer."""
 
-from collections import Counter
-
 import pytest
 
+from repro.errors import SimulationError
 from repro.protocol.gtd import GTDProcessor
 from repro.protocol.rca import ScriptedRCADriver
 from repro.sim.characters import Char, make_head
@@ -14,11 +13,12 @@ from repro.topology import generators
 from repro.viz.spacetime import render_spacetime
 
 
-def traced_rca(n: int = 6, keep=None, engine_cls=Engine):
+def traced_rca(n: int = 6, keep=None, engine_cls=Engine, *, trace: bool = True):
     graph = generators.bidirectional_line(n)
     procs = [ScriptedRCADriver() for _ in graph.nodes()]
     engine = engine_cls(graph, list(procs), root=0)
-    engine.tracer = EventTrace(keep=keep)
+    if trace:
+        engine.tracer = EventTrace(keep=keep)
     engine.start()
     procs[n - 1].begin_tick(0)
     procs[n - 1].trigger(Char("FWD", 1, 1))
@@ -99,36 +99,44 @@ def transcript_bytes(engine) -> bytes:
     return "\n".join(repr(e) for e in engine.transcript.events()).encode()
 
 
-def per_tick_multiset(trace: EventTrace) -> Counter:
-    """Every recorded event, keyed by tick: order within a tick is free."""
-    return Counter(
-        (e.tick, e.kind, e.node, e.port, e.char) for e in trace.events()
-    )
-
-
 class TestFlatTracer:
-    """The flat backend's traced path records what the object oracle does."""
+    """Tracing a flat run means tracing the same run on ``object``.
+
+    The flat engine refuses a tracer; the parity contract makes an
+    ``object`` run the flat run, tick for tick, so a traced ``object``
+    run must leave the transcript and tick count of the untraced flat run.
+    """
+
+    def test_flat_engine_refuses_a_tracer(self):
+        graph = generators.bidirectional_line(3)
+        engine = FlatEngine(graph, [ScriptedRCADriver() for _ in graph.nodes()])
+        assert engine.tracer is None
+        with pytest.raises(SimulationError, match="backend 'object'"):
+            engine.tracer = EventTrace()
+        assert engine.tracer is None
+        engine.tracer = None  # detaching is allowed, and a no-op
+        engine.reset()
 
     def test_scripted_rca_matches_object_engine(self):
-        obj, _ = traced_rca()
-        flat, _ = traced_rca(engine_cls=FlatEngine)
-        assert len(flat.tracer) > 0
-        assert per_tick_multiset(flat.tracer) == per_tick_multiset(obj.tracer)
-        assert flat.tick == obj.tick
+        traced, _ = traced_rca()
+        flat, _ = traced_rca(engine_cls=FlatEngine, trace=False)
+        assert len(traced.tracer) > 0
+        assert flat.tick == traced.tick
+        assert transcript_bytes(flat) == transcript_bytes(traced)
 
     def test_gtd_run_matches_object_engine(self):
-        obj = gtd_run(Engine, tracer=EventTrace())
-        flat = gtd_run(FlatEngine, tracer=EventTrace())
-        assert flat.tracer.dropped == obj.tracer.dropped == 0
-        kinds = {e.kind for e in flat.tracer.events()}
+        traced = gtd_run(Engine, tracer=EventTrace())
+        flat = gtd_run(FlatEngine)
+        assert traced.tracer.dropped == 0
+        kinds = {e.kind for e in traced.tracer.events()}
         assert kinds == {"deliver", "emit"}
-        assert per_tick_multiset(flat.tracer) == per_tick_multiset(obj.tracer)
-        assert transcript_bytes(flat) == transcript_bytes(obj)
+        assert flat.tick == traced.tick
+        assert transcript_bytes(flat) == transcript_bytes(traced)
 
     @pytest.mark.parametrize("attach_at", [1, 200, 1000])
     def test_mid_run_attach_keeps_the_transcript(self, attach_at):
         untraced = gtd_run(FlatEngine)
-        traced = gtd_run(FlatEngine, tracer=EventTrace(), attach_at=attach_at)
+        traced = gtd_run(Engine, tracer=EventTrace(), attach_at=attach_at)
         # the trace covers only the run after the attach point
         assert min(e.tick for e in traced.tracer.events()) >= attach_at
         assert traced.tick == untraced.tick
